@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "util/check.hpp"
+#include "util/free_list.hpp"
 
 namespace mheta::core {
 
@@ -35,9 +36,28 @@ struct KeyHash {
 
 }  // namespace
 
-/// Statistics and the permanent-fallback latch, shared by every copy and
-/// every thread. All updates are relaxed atomics except the (rare)
-/// cross-check drift bookkeeping, which takes `crosscheck_mu`.
+/// Everything one call needs to evaluate candidates without touching shared
+/// state: a row cache plus all evaluation scratch. Checked out of the
+/// evaluator's free list for the length of a call.
+struct IncrementalEvaluator::Cache {
+  std::unordered_map<std::pair<int, std::int64_t>, NodeRow, KeyHash> rows;
+  Predictor::IterationCache cache;
+  Predictor::IterScratch iter;
+  std::vector<double> scales;
+  Prediction pred;
+  // The candidate the iteration cache (and pred) currently describe; empty
+  // until the first delta evaluation completes. Lets the assembly pass skip
+  // every rank whose row count is unchanged since the previous candidate —
+  // the O(changed-nodes) step — and lets an exact repeat skip the clock
+  // loop as well.
+  std::vector<std::int64_t> last_counts;
+  int last_iterations = 0;
+};
+
+/// Statistics, the permanent-fallback latch and the evaluation caches,
+/// shared by every copy and every thread. All stat updates are relaxed
+/// atomics except the (rare) cross-check drift bookkeeping, which takes
+/// `crosscheck_mu`.
 struct IncrementalEvaluator::State {
   std::atomic<std::uint64_t> evaluations{0};
   std::atomic<std::uint64_t> rows_reused{0};
@@ -58,26 +78,9 @@ struct IncrementalEvaluator::State {
   obs::Counter* fallback_counter = nullptr;
   obs::Counter* crosscheck_counter = nullptr;
   obs::Gauge* drift_gauge = nullptr;
-};
 
-/// Everything one thread needs to evaluate candidates without touching
-/// shared state: its row cache plus all evaluation scratch. Holds the
-/// State alive so a cache entry can never outlive (or collide with a
-/// reallocation of) the evaluator state it was built for.
-struct IncrementalEvaluator::ThreadCache {
-  std::shared_ptr<State> state;
-  std::unordered_map<std::pair<int, std::int64_t>, NodeRow, KeyHash> rows;
-  Predictor::IterationCache cache;
-  Predictor::IterScratch iter;
-  std::vector<double> scales;
-  Prediction pred;
-  // The candidate the iteration cache (and pred) currently describe; empty
-  // until the first delta evaluation completes. Lets the assembly pass skip
-  // every rank whose row count is unchanged since the previous candidate —
-  // the O(changed-nodes) step — and lets an exact repeat skip the clock
-  // loop as well.
-  std::vector<std::int64_t> last_counts;
-  int last_iterations = 0;
+  // Caches not checked out by a call; freed with the evaluator.
+  util::FreeList<Cache> caches;
 };
 
 IncrementalEvaluator::IncrementalEvaluator(const Predictor& predictor,
@@ -117,24 +120,9 @@ IncrementalEvaluator::IncrementalEvaluator(const Predictor& predictor,
   }
 }
 
-IncrementalEvaluator::ThreadCache& IncrementalEvaluator::thread_cache() {
-  // Keyed by the State address; the cached shared_ptr pins the State so the
-  // key can never be reused by a different evaluator while the entry lives.
-  // The one-entry fast path covers the common case of a single evaluator
-  // per thread.
-  thread_local std::unordered_map<State*, ThreadCache> caches;
-  thread_local ThreadCache* last = nullptr;
-  State* key = state_.get();
-  if (last != nullptr && last->state.get() == key) return *last;
-  ThreadCache& tc = caches[key];
-  if (tc.state == nullptr) tc.state = state_;
-  last = &tc;
-  return tc;
-}
-
 const Prediction& IncrementalEvaluator::evaluate_impl(const dist::GenBlock& d,
                                                       int iterations,
-                                                      ThreadCache& tc) {
+                                                      Cache& tc) {
   MHETA_CHECK(iterations >= 1);
   MHETA_CHECK(d.nodes() == predictor_->params().node_count());
   State& st = *state_;
@@ -299,14 +287,22 @@ const Prediction& IncrementalEvaluator::evaluate_impl(const dist::GenBlock& d,
   return tc.pred;
 }
 
+// A call that throws drops its cache instead of giving it back, so a
+// half-assembled iteration cache is never diffed against.
 Prediction IncrementalEvaluator::evaluate(const dist::GenBlock& d,
                                           int iterations) {
-  return evaluate_impl(d, iterations, thread_cache());
+  std::unique_ptr<Cache> cache = state_->caches.take();
+  Prediction out = evaluate_impl(d, iterations, *cache);
+  state_->caches.give(std::move(cache));
+  return out;
 }
 
 double IncrementalEvaluator::evaluate_total(const dist::GenBlock& d,
                                             int iterations) {
-  return evaluate_impl(d, iterations, thread_cache()).total_s;
+  std::unique_ptr<Cache> cache = state_->caches.take();
+  const double total = evaluate_impl(d, iterations, *cache).total_s;
+  state_->caches.give(std::move(cache));
+  return total;
 }
 
 DeltaStats IncrementalEvaluator::stats() const {

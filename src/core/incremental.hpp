@@ -22,10 +22,14 @@
 // (it cannot be, by construction, but the oracle is cheap insurance).
 //
 // Hot-path design: rows, iteration-cache scratch and the clock loop's
-// vectors live in per-thread storage, so an evaluation takes no locks and
-// (steady-state) performs no allocations; statistics are relaxed atomics.
-// Safe to call concurrently — threads at worst recompute the same pure row
-// for their own cache.
+// vectors live in caches the evaluator owns. Each call checks one out of a
+// LIFO free list and gives it back, so a single-threaded caller always gets
+// the cache it used last (and the O(changed-nodes) diff still applies),
+// while concurrent callers each hold their own for the length of a call.
+// Apart from that checkout an evaluation takes no locks and (steady-state)
+// performs no allocations; statistics are relaxed atomics. The caches are
+// freed with the evaluator. Safe to call concurrently — callers at worst
+// recompute the same pure row for their own cache.
 #pragma once
 
 #include <cstdint>
@@ -59,11 +63,11 @@ struct DeltaOptions {
   /// as a fallback) — the escape hatch, and the benchmark denominator.
   bool enabled = true;
 
-  /// Per-thread entries for memoized per-(rank, rows) stage-time rows; a
-  /// thread's cache is cleared wholesale when it would exceed this (rows
-  /// are pure, so dropping them only costs recomputation). A search's
-  /// working set is a few (rank, rows) pairs per move, so the default
-  /// never clears in practice.
+  /// Entries per cache for memoized per-(rank, rows) stage-time rows; a
+  /// cache is cleared wholesale when it would exceed this (rows are pure,
+  /// so dropping them only costs recomputation). A search's working set is
+  /// a few (rank, rows) pairs per move, so the default never clears in
+  /// practice.
   std::size_t row_cache_capacity = 4096;
 
   /// Cross-check the delta result against a full Predictor::predict every
@@ -106,14 +110,13 @@ class IncrementalEvaluator {
   const Options& options() const { return options_; }
 
  private:
-  struct NodeRow;      // one rank's stage times over all sections, SoA
-  struct State;        // shared stats + identity, pinned by thread caches
-  struct ThreadCache;  // per-thread rows + evaluation scratch
+  struct NodeRow;  // one rank's stage times over all sections, SoA
+  struct Cache;    // rows + evaluation scratch, checked out per call
+  struct State;    // shared stats + the free list of caches
 
-  ThreadCache& thread_cache();
   /// Runs the delta (or fallback) evaluation into tc.pred and returns it.
   const Prediction& evaluate_impl(const dist::GenBlock& d, int iterations,
-                                  ThreadCache& tc);
+                                  Cache& tc);
 
   const Predictor* predictor_;
   Options options_;

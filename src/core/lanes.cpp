@@ -7,10 +7,10 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <utility>
 
 #include "util/check.hpp"
+#include "util/free_list.hpp"
 
 namespace mheta::core {
 
@@ -85,56 +85,11 @@ struct LaneEvaluator::RowCache {
   }
 };
 
-/// Statistics and the permanent-fallback latch, shared by every copy and
-/// every thread. All updates are relaxed atomics except the (rare)
-/// cross-check drift bookkeeping, which takes `crosscheck_mu`.
-struct LaneEvaluator::State {
-  std::atomic<std::uint64_t> batched_sweeps{0};
-  std::atomic<std::uint64_t> lane_evaluations{0};
-  std::atomic<std::uint64_t> scalar_evaluations{0};
-  std::atomic<std::uint64_t> idle_lanes{0};
-  std::atomic<std::uint64_t> rows_reused{0};
-  std::atomic<std::uint64_t> rows_computed{0};
-  std::atomic<std::uint64_t> crosschecks{0};
-  std::atomic<std::uint64_t> fallback_latches{0};
-  std::atomic<std::uint64_t> assemble_ns{0};
-  std::atomic<std::uint64_t> sweep_ns{0};
-  std::atomic<bool> fallback_forever{false};
-  std::mutex crosscheck_mu;
-  double max_drift_s = 0;  // guarded by crosscheck_mu
-
-  // Resolved once at construction when a registry is installed; updates are
-  // atomic on the metrics themselves.
-  obs::Counter* sweep_counter = nullptr;
-  obs::Counter* lanes_counter = nullptr;
-  obs::Counter* scalar_counter = nullptr;
-  obs::Counter* idle_counter = nullptr;
-  obs::Counter* crosscheck_counter = nullptr;
-  obs::Counter* latch_counter = nullptr;
-  obs::Gauge* fill_gauge = nullptr;
-  obs::Gauge* drift_gauge = nullptr;
-
-  void note_scalar(std::uint64_t count) {
-    scalar_evaluations.fetch_add(count, std::memory_order_relaxed);
-    if (scalar_counter != nullptr) scalar_counter->inc(count);
-  }
-  void refresh_fill_gauge() {
-    if (fill_gauge == nullptr) return;
-    const double occupied = static_cast<double>(
-        lane_evaluations.load(std::memory_order_relaxed));
-    const double slots =
-        occupied +
-        static_cast<double>(idle_lanes.load(std::memory_order_relaxed));
-    fill_gauge->set(slots > 0 ? occupied / slots : 0.0);
-  }
-};
-
-/// Everything one thread needs to evaluate lane groups without touching
-/// shared state: its row cache, the lane-major stage tables, and all sweep
-/// scratch. Holds the State alive so a cache entry can never outlive (or
-/// collide with a reallocation of) the evaluator state it was built for.
-struct LaneEvaluator::ThreadCache {
-  std::shared_ptr<State> state;
+/// Everything one call needs to evaluate lane groups without touching
+/// shared state: a row cache, the lane-major stage tables, and all sweep
+/// scratch. Checked out of the evaluator's free list for the length of a
+/// call.
+struct LaneEvaluator::Cache {
   RowCache rows;
 
   // Per-(rank, lane) stage-row pointers, lane-major n * lanes. The sweep
@@ -165,6 +120,54 @@ struct LaneEvaluator::ThreadCache {
   std::vector<double> mins;      // this iteration's renorm delta
   std::vector<double> last_m;    // previous iteration's renorm delta
   std::vector<double> check_totals;  // full-predict totals, crosscheck only
+};
+
+/// Statistics, the permanent-fallback latch and the evaluation caches,
+/// shared by every copy and every thread. All stat updates are relaxed
+/// atomics except the (rare) cross-check drift bookkeeping, which takes
+/// `crosscheck_mu`.
+struct LaneEvaluator::State {
+  std::atomic<std::uint64_t> batched_sweeps{0};
+  std::atomic<std::uint64_t> lane_evaluations{0};
+  std::atomic<std::uint64_t> scalar_evaluations{0};
+  std::atomic<std::uint64_t> idle_lanes{0};
+  std::atomic<std::uint64_t> rows_reused{0};
+  std::atomic<std::uint64_t> rows_computed{0};
+  std::atomic<std::uint64_t> crosschecks{0};
+  std::atomic<std::uint64_t> fallback_latches{0};
+  std::atomic<std::uint64_t> assemble_ns{0};
+  std::atomic<std::uint64_t> sweep_ns{0};
+  std::atomic<bool> fallback_forever{false};
+  std::mutex crosscheck_mu;
+  double max_drift_s = 0;  // guarded by crosscheck_mu
+
+  // Resolved once at construction when a registry is installed; updates are
+  // atomic on the metrics themselves.
+  obs::Counter* sweep_counter = nullptr;
+  obs::Counter* lanes_counter = nullptr;
+  obs::Counter* scalar_counter = nullptr;
+  obs::Counter* idle_counter = nullptr;
+  obs::Counter* crosscheck_counter = nullptr;
+  obs::Counter* latch_counter = nullptr;
+  obs::Gauge* fill_gauge = nullptr;
+  obs::Gauge* drift_gauge = nullptr;
+
+  // Caches not checked out by a call; freed with the evaluator.
+  util::FreeList<Cache> caches;
+
+  void note_scalar(std::uint64_t count) {
+    scalar_evaluations.fetch_add(count, std::memory_order_relaxed);
+    if (scalar_counter != nullptr) scalar_counter->inc(count);
+  }
+  void refresh_fill_gauge() {
+    if (fill_gauge == nullptr) return;
+    const double occupied = static_cast<double>(
+        lane_evaluations.load(std::memory_order_relaxed));
+    const double slots =
+        occupied +
+        static_cast<double>(idle_lanes.load(std::memory_order_relaxed));
+    fill_gauge->set(slots > 0 ? occupied / slots : 0.0);
+  }
 };
 
 LaneEvaluator::LaneEvaluator(const Predictor& predictor, Options options)
@@ -217,19 +220,6 @@ LaneEvaluator::LaneEvaluator(const Predictor& predictor, Options options)
   }
 }
 
-LaneEvaluator::ThreadCache& LaneEvaluator::thread_cache() {
-  // Keyed by the State address; the cached shared_ptr pins the State so the
-  // key can never be reused by a different evaluator while the entry lives.
-  thread_local std::unordered_map<State*, ThreadCache> caches;
-  thread_local ThreadCache* last = nullptr;
-  State* key = state_.get();
-  if (last != nullptr && last->state.get() == key) return *last;
-  ThreadCache& tc = caches[key];
-  if (tc.state == nullptr) tc.state = state_;
-  last = &tc;
-  return tc;
-}
-
 void LaneEvaluator::evaluate_totals(const dist::GenBlock* candidates,
                                     std::size_t count, int iterations,
                                     double* totals) {
@@ -240,7 +230,7 @@ void LaneEvaluator::evaluate_totals(const dist::GenBlock* candidates,
       static_cast<std::size_t>(std::max(1, options_.lane_width));
   const std::size_t min_fill = std::max<std::size_t>(
       1, static_cast<std::size_t>(std::max(0, options_.min_fill)));
-  ThreadCache* tc = nullptr;
+  std::unique_ptr<Cache> cache;  // checked out by the first lane group
   std::size_t i = 0;
   while (i < count) {
     const std::size_t group = std::min(width, count - i);
@@ -250,8 +240,8 @@ void LaneEvaluator::evaluate_totals(const dist::GenBlock* candidates,
         options_.enabled && group >= min_fill &&
         !st.fallback_forever.load(std::memory_order_relaxed);
     if (batch) {
-      if (tc == nullptr) tc = &thread_cache();
-      evaluate_group(candidates + i, group, iterations, totals + i, *tc);
+      if (cache == nullptr) cache = st.caches.take();
+      evaluate_group(candidates + i, group, iterations, totals + i, *cache);
     } else {
       for (std::size_t j = 0; j < group; ++j)
         totals[i + j] = scalar_->evaluate_total(candidates[i + j], iterations);
@@ -259,6 +249,8 @@ void LaneEvaluator::evaluate_totals(const dist::GenBlock* candidates,
     }
     i += group;
   }
+  // A call that throws drops its cache instead of giving it back.
+  if (cache != nullptr) st.caches.give(std::move(cache));
 }
 
 Prediction LaneEvaluator::evaluate(const dist::GenBlock& d, int iterations) {
@@ -273,7 +265,7 @@ double LaneEvaluator::evaluate_total(const dist::GenBlock& d, int iterations) {
 
 void LaneEvaluator::evaluate_group(const dist::GenBlock* candidates,
                                    std::size_t count, int iterations,
-                                   double* totals, ThreadCache& tc) {
+                                   double* totals, Cache& tc) {
   State& st = *state_;
   const int n = predictor_->params().node_count();
   const int lanes = static_cast<int>(count);
@@ -284,7 +276,7 @@ void LaneEvaluator::evaluate_group(const dist::GenBlock* candidates,
   if (options_.time_components) t0 = Clock::now();
 
   // Assemble: resolve each (rank, lane) to its per-(rank, rows) stage row.
-  // Rows come from (or land in) the per-thread cache and are built by the
+  // Rows come from (or land in) the call's cache and are built by the
   // same Predictor::build_rank_section the full path uses, so every lane's
   // stage values are bit-identical to a fresh build_iteration_cache for
   // that candidate. No lane-major copy is made — the sweep reads the rows
@@ -447,7 +439,7 @@ void LaneEvaluator::evaluate_group(const dist::GenBlock* candidates,
   }
 }
 
-void LaneEvaluator::sweep(ThreadCache& tc, int n, int lanes, int iterations) {
+void LaneEvaluator::sweep(Cache& tc, int n, int lanes, int iterations) {
   // The K-lane mirror of Predictor::run_iterations for uniform scale-1.0
   // iterations: per-(rank, lane) clocks in offset space, per-lane base
   // absorbed by renormalization, and the steady-state shortcut taken when
@@ -512,7 +504,7 @@ void LaneEvaluator::sweep(ThreadCache& tc, int n, int lanes, int iterations) {
   }
 }
 
-void LaneEvaluator::lane_section(int section_index, ThreadCache& tc, int n,
+void LaneEvaluator::lane_section(int section_index, Cache& tc, int n,
                                  int lanes) {
   const SectionSpec& section =
       predictor_->structure_.sections[static_cast<std::size_t>(section_index)];

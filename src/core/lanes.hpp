@@ -37,9 +37,10 @@
 // against full Predictor::predict every N sweeps and permanently falls
 // back to the scalar path if drift above the tolerance is ever observed.
 //
-// Hot-path design mirrors incremental.hpp: per-thread row caches and lane
-// scratch (no locks, steady-state no allocations), relaxed-atomic stats.
-// Safe to call concurrently.
+// Hot-path design mirrors incremental.hpp: row caches and lane scratch live
+// in caches the evaluator owns, checked out of a LIFO free list per call and
+// freed with the evaluator (no other locks, steady-state no allocations),
+// relaxed-atomic stats. Safe to call concurrently.
 #pragma once
 
 #include <cstddef>
@@ -99,7 +100,7 @@ struct LaneOptions {
   /// sharing them.
   int min_fill = 4;
 
-  /// Per-thread entries for memoized per-(rank, rows) stage-time rows
+  /// Entries per cache for memoized per-(rank, rows) stage-time rows
   /// (cleared wholesale when exceeded; rows are pure).
   std::size_t row_cache_capacity = 4096;
 
@@ -149,19 +150,18 @@ class LaneEvaluator {
   const Options& options() const { return options_; }
 
  private:
-  struct RowCache;     // flat open-addressed (rank, rows) -> stage-row map
-  struct State;        // shared stats + identity, pinned by thread caches
-  struct ThreadCache;  // per-thread rows + lane tables + sweep scratch
+  struct RowCache;  // flat open-addressed (rank, rows) -> stage-row map
+  struct Cache;     // rows + lane tables + sweep scratch, checked out per call
+  struct State;     // shared stats + the free list of caches
 
-  ThreadCache& thread_cache();
   /// One lane-batched group: assemble lane tables for `count` candidates,
   /// sweep, write totals; runs the crosscheck oracle when due.
   void evaluate_group(const dist::GenBlock* candidates, std::size_t count,
-                      int iterations, double* totals, ThreadCache& tc);
+                      int iterations, double* totals, Cache& tc);
   /// The K-lane clock-propagation loop (mirrors Predictor::run_iterations
   /// for uniform scale-1.0 iterations).
-  void sweep(ThreadCache& tc, int n, int lanes, int iterations);
-  void lane_section(int section_index, ThreadCache& tc, int n, int lanes);
+  void sweep(Cache& tc, int n, int lanes, int iterations);
+  void lane_section(int section_index, Cache& tc, int n, int lanes);
   void lane_reduction(std::int64_t bytes, double* t, int n, int lanes,
                       std::vector<double>& arrival,
                       std::vector<double>& bcast) const;

@@ -67,12 +67,15 @@ int AttributedPrediction::critical_rank() const {
   return best;
 }
 
-/// Memoized per-(rank, rows) plans, shared across Predictor copies and
+/// Memoized per-(memory, rows) plans, shared across Predictor copies and
 /// threads (guarded by `mu`; plan_node is pure, so concurrent misses at
-/// worst recompute the same immutable plan).
+/// worst recompute the same immutable plan). A plan depends on the arrays,
+/// the row count and the node's memory only, so ranks with equal memory
+/// share entries.
 struct Predictor::PlanCache {
   struct KeyHash {
-    std::size_t operator()(const std::pair<int, std::int64_t>& k) const {
+    std::size_t operator()(
+        const std::pair<std::int64_t, std::int64_t>& k) const {
       std::uint64_t h = 0x9E3779B97F4A7C15ull ^
                         static_cast<std::uint64_t>(k.first);
       h ^= static_cast<std::uint64_t>(k.second) + 0x9E3779B97F4A7C15ull +
@@ -84,7 +87,7 @@ struct Predictor::PlanCache {
   explicit PlanCache(std::size_t capacity) : cache(capacity) {}
 
   std::mutex mu;
-  util::LruCache<std::pair<int, std::int64_t>,
+  util::LruCache<std::pair<std::int64_t, std::int64_t>,
                  std::shared_ptr<const ooc::NodePlan>, KeyHash>
       cache;
   std::uint64_t hits = 0;    // guarded by mu
@@ -262,10 +265,10 @@ void Predictor::intern_tables() {
     if (options_.metrics != nullptr) {
       plan_cache_->hit_counter = &options_.metrics->counter(
           "predictor_plan_cache_hits_total",
-          "per-(rank, rows) OOC-plan LRU hits");
+          "per-(memory, rows) OOC-plan LRU hits");
       plan_cache_->miss_counter = &options_.metrics->counter(
           "predictor_plan_cache_misses_total",
-          "per-(rank, rows) OOC-plan LRU misses");
+          "per-(memory, rows) OOC-plan LRU misses");
     }
   }
 }
@@ -314,12 +317,12 @@ std::shared_ptr<const ooc::NodePlan> Predictor::plan_for_rank(
   ooc::PlannerOptions popts;
   popts.overhead_bytes = options_.planner_overhead_bytes;
   popts.max_blocks = options_.max_blocks;
+  const std::int64_t memory = memory_bytes_[static_cast<std::size_t>(rank)];
   if (!plan_cache_) {
-    return std::make_shared<const ooc::NodePlan>(ooc::plan_node(
-        structure_.arrays, count, memory_bytes_[static_cast<std::size_t>(rank)],
-        popts));
+    return std::make_shared<const ooc::NodePlan>(
+        ooc::plan_node(structure_.arrays, count, memory, popts));
   }
-  const std::pair<int, std::int64_t> key{rank, count};
+  const std::pair<std::int64_t, std::int64_t> key{memory, count};
   {
     std::lock_guard<std::mutex> lock(plan_cache_->mu);
     if (auto* hit = plan_cache_->cache.get(key)) {
@@ -330,9 +333,8 @@ std::shared_ptr<const ooc::NodePlan> Predictor::plan_for_rank(
   }
   // Plan outside the lock; plan_node is pure, so a concurrent miss on the
   // same key at worst recomputes the same immutable plan.
-  auto plan = std::make_shared<const ooc::NodePlan>(ooc::plan_node(
-      structure_.arrays, count, memory_bytes_[static_cast<std::size_t>(rank)],
-      popts));
+  auto plan = std::make_shared<const ooc::NodePlan>(
+      ooc::plan_node(structure_.arrays, count, memory, popts));
   std::lock_guard<std::mutex> lock(plan_cache_->mu);
   ++plan_cache_->misses;
   if (plan_cache_->miss_counter != nullptr) plan_cache_->miss_counter->inc();
@@ -525,59 +527,6 @@ void Predictor::build_rank_section(int rank, int section_index,
       io_s[idx] = st.io_s;
     }
   }
-}
-
-std::vector<int> Predictor::rank_row_classes() const {
-  // Mirrors the rank-dependent inputs of build_rank_section/stage_time:
-  // the node's disk seek overheads, its instrumented count (the T_c
-  // normalizer), the memory capacity plan_node sees, and the rank's full
-  // stripe of the interned stage tables. Bitwise comparison throughout —
-  // merging is only ever allowed when the row computation literally cannot
-  // distinguish the ranks.
-  const int n = params_.node_count();
-  const std::size_t stride = static_cast<std::size_t>(total_stage_slots_);
-  const std::size_t var_stride = stride * structure_.arrays.size();
-  auto same = [&](int a, int b) {
-    const auto& na = params_.nodes[static_cast<std::size_t>(a)];
-    const auto& nb = params_.nodes[static_cast<std::size_t>(b)];
-    const std::size_t sa = static_cast<std::size_t>(a) * stride;
-    const std::size_t sb = static_cast<std::size_t>(b) * stride;
-    const std::size_t va = static_cast<std::size_t>(a) * var_stride;
-    const std::size_t vb = static_cast<std::size_t>(b) * var_stride;
-    return std::memcmp(&na.read_seek_s, &nb.read_seek_s, sizeof(double)) == 0 &&
-           std::memcmp(&na.write_seek_s, &nb.write_seek_s, sizeof(double)) ==
-               0 &&
-           instrumented_counts_[static_cast<std::size_t>(a)] ==
-               instrumented_counts_[static_cast<std::size_t>(b)] &&
-           memory_bytes_[static_cast<std::size_t>(a)] ==
-               memory_bytes_[static_cast<std::size_t>(b)] &&
-           std::memcmp(stage_present_.data() + sa, stage_present_.data() + sb,
-                       stride * sizeof(char)) == 0 &&
-           std::memcmp(stage_compute_s_.data() + sa,
-                       stage_compute_s_.data() + sb,
-                       stride * sizeof(double)) == 0 &&
-           std::memcmp(var_present_.data() + va, var_present_.data() + vb,
-                       var_stride * sizeof(char)) == 0 &&
-           std::memcmp(var_read_spb_.data() + va, var_read_spb_.data() + vb,
-                       var_stride * sizeof(double)) == 0 &&
-           std::memcmp(var_write_spb_.data() + va, var_write_spb_.data() + vb,
-                       var_stride * sizeof(double)) == 0;
-  };
-  std::vector<int> cls(static_cast<std::size_t>(n), -1);
-  std::vector<int> reps;
-  for (int r = 0; r < n; ++r) {
-    for (std::size_t c = 0; c < reps.size(); ++c) {
-      if (same(reps[c], r)) {
-        cls[static_cast<std::size_t>(r)] = static_cast<int>(c);
-        break;
-      }
-    }
-    if (cls[static_cast<std::size_t>(r)] < 0) {
-      cls[static_cast<std::size_t>(r)] = static_cast<int>(reps.size());
-      reps.push_back(r);
-    }
-  }
-  return cls;
 }
 
 std::vector<Predictor::StageTableView> Predictor::stage_table_view() const {

@@ -21,8 +21,8 @@
 // Evaluation fast path (the paper's on-line-search usability claim rests on
 // per-candidate cost): at construction the string/pair-keyed parameter maps
 // are interned into dense index-addressed tables so the innermost stage
-// loop does no map lookups; per-(rank, rows) memory plans are memoized in
-// an LRU; and repeated uniform iterations collapse through a steady-state
+// loop does no map lookups; per-(memory, rows) memory plans are memoized
+// in an LRU; and repeated uniform iterations collapse through a steady-state
 // shortcut once the per-node clock offsets reach a bitwise fixed point.
 // All knobs live in ModelOptions; disabling them reproduces the naive
 // per-iteration loop bit for bit (the fast-path tests enforce this).
@@ -68,9 +68,9 @@ struct ModelOptions {
   /// disable only to benchmark or test against the naive path.
   bool steady_state_shortcut = true;
 
-  /// LRU entries for memoized per-(rank, rows) memory plans; 0 disables
-  /// plan caching entirely. Sized above the unique (rank, rows) working set
-  /// of a population search (a few thousand keys); below that the LRU
+  /// LRU entries for memoized per-(memory, rows) memory plans; 0 disables
+  /// plan caching entirely. Sized above the unique (memory, rows) working
+  /// set of a population search (a few thousand keys); below that the LRU
   /// degenerates to 0% hits under sequential re-access and every path pays
   /// plan construction per row.
   std::size_t plan_cache_capacity = 8192;
@@ -199,18 +199,6 @@ class Predictor {
     return memory_bytes_;
   }
   const ModelOptions& options() const { return options_; }
-
-  /// Partitions ranks into row-equivalence classes: ranks in the same class
-  /// produce bitwise-identical stage rows (build_rank_section output) for
-  /// every (count, scale), because every per-rank input of that computation
-  /// — disk seek overheads, instrumented count, planner memory capacity and
-  /// the interned per-(section, stage) compute/latency tables — is bitwise
-  /// equal between them. Returns one class id in [0, classes) per rank;
-  /// heterogeneous clusters built from groups of identical machines
-  /// collapse to one class per group, which lets row caches keyed by
-  /// (class, count) share entries across ranks. Comparisons are bitwise, so
-  /// the partition is conservative (never merges ranks that could differ).
-  std::vector<int> rank_row_classes() const;
 
   /// Per-(section, stage) extrema of the interned cost tables across ranks:
   /// the min/max measured compute time and the min/max per-byte latencies
@@ -463,7 +451,7 @@ class Predictor {
   std::vector<InternedSectionComm> comm_interned_;  // per section
   std::vector<std::int64_t> instrumented_counts_;   // per rank
 
-  // Memoized per-(rank, rows) plans; shared (and locked) so copies of the
+  // Memoized per-(memory, rows) plans; shared (and locked) so copies of the
   // Predictor share one cache and predict() stays const and thread-safe.
   struct PlanCache;
   std::shared_ptr<PlanCache> plan_cache_;

@@ -114,32 +114,6 @@ DriftReport measure_drift(
 
 namespace {
 
-/// Same dispatcher as mheta-profile's: one name, six algorithms.
-search::SearchResult run_search(const std::string& algorithm,
-                                const search::Objective& objective,
-                                const dist::GenBlock& start,
-                                const dist::DistContext& ctx,
-                                cluster::SpectrumKind spectrum,
-                                std::uint64_t seed) {
-  if (algorithm == "tabu")
-    return search::tabu_search(start, objective, {}, seed);
-  if (algorithm == "anneal")
-    return search::simulated_annealing(start, objective, {}, seed);
-  if (algorithm == "hill")
-    return search::hill_climb(start, objective, {}, seed);
-  if (algorithm == "genetic") return search::genetic(ctx, objective, {}, seed);
-  if (algorithm == "gbs") {
-    search::SpectrumSpace space(ctx, spectrum);
-    return search::gbs(space, objective);
-  }
-  if (algorithm == "random") {
-    search::SpectrumSpace space(ctx, spectrum);
-    return search::random_search(space, objective, 64, seed);
-  }
-  MHETA_CHECK_MSG(false, "unknown search algorithm '" << algorithm << "'");
-  return {};
-}
-
 /// Best distribution for `arch_now` according to `predictor`, starting the
 /// vector-space algorithms from `start`.
 search::SearchResult search_best(const cluster::ArchConfig& arch_now,
@@ -149,10 +123,9 @@ search::SearchResult search_best(const cluster::ArchConfig& arch_now,
                                  const AdaptOptions& opts,
                                  std::uint64_t seed) {
   const dist::DistContext ctx = exp::make_context(arch_now, w, opts.experiment);
-  const search::CachingObjective cached(search::make_objective(
-      predictor, 1, arch_now.cluster));
-  return run_search(opts.algorithm, search::Objective(cached), start, ctx,
-                    arch_now.spectrum, seed);
+  const search::LaneObjective lanes(predictor, 1, arch_now.cluster);
+  return search::run_named(opts.algorithm, search::BatchObjective(lanes),
+                           start, ctx, arch_now.spectrum, seed);
 }
 
 /// The architecture as the scenario leaves it in `epoch`.

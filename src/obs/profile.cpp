@@ -32,40 +32,6 @@ namespace {
 
 double clamp01(double v) { return std::min(1.0, std::max(0.0, v)); }
 
-search::SearchResult run_search(const std::string& algorithm,
-                                const search::BatchObjective& objective,
-                                const dist::GenBlock& start,
-                                const dist::DistContext& ctx,
-                                const cluster::ArchConfig& arch,
-                                std::uint64_t seed) {
-  if (algorithm == "tabu")
-    return search::tabu_search(start, objective, {}, seed);
-  if (algorithm == "anneal")
-    // Inherently sequential (each candidate depends on the previous
-    // accept/reject), so it consumes the scalar entry only.
-    return search::simulated_annealing(
-        start,
-        search::Objective([&objective](const dist::GenBlock& d) {
-          return objective(d);
-        }),
-        {}, seed);
-  if (algorithm == "hill")
-    return search::hill_climb(start, objective, {}, seed);
-  if (algorithm == "genetic")
-    return search::genetic(ctx, objective, {}, seed);
-  if (algorithm == "gbs") {
-    search::SpectrumSpace space(ctx, arch.spectrum);
-    return search::gbs(space, objective);
-  }
-  if (algorithm == "random") {
-    search::SpectrumSpace space(ctx, arch.spectrum);
-    return search::random_search(space, objective, 64, seed);
-  }
-  throw std::runtime_error(
-      "unknown search algorithm '" + algorithm +
-      "' (expected tabu|gbs|anneal|genetic|random|hill)");
-}
-
 /// Opens an artifact for writing and remembers its path.
 std::ofstream open_artifact(const std::filesystem::path& dir,
                             const char* name, std::vector<std::string>& files) {
@@ -189,8 +155,7 @@ ProfileResult run_profile(const exp::Workload& w, const ProfileOptions& opts,
   if (!opts.search.empty()) {
     // The search scores candidates through the lane-batched objective —
     // bit-identical to make_objective lane by lane, so the trajectory is
-    // unchanged. Single candidates take its scalar (delta) path wrapped in
-    // a memoizing cache just as a search driver would; population
+    // unchanged. Single candidates take its scalar (delta) path; population
     // algorithms route whole candidate sets through K-wide clock sweeps,
     // with every batch value fed into the convergence recorder. The
     // periodic cross-check keeps a live drift oracle in the metrics for
@@ -200,42 +165,25 @@ ProfileResult run_profile(const exp::Workload& w, const ProfileOptions& opts,
     lopts.metrics = &registry;
     const search::LaneObjective lanes(predictor, iterations, arch.cluster,
                                       lopts);
-    // Certified branch-and-bound screen between the search and the lane
-    // evaluator: candidates whose interval lower bound beats the incumbent
-    // are never scored; everything scored pays the lo <= value <= hi
-    // oracle, keeping a live soundness signal in the metrics (a violation
-    // latches straight through to the lane path).
-    search::BoundedOptions bopts;
-    bopts.metrics = &registry;
-    const search::BoundedObjective bounded(
-        predictor, iterations, search::Objective(lanes),
-        [lanes](const std::vector<dist::GenBlock>& cs) {
-          return lanes.evaluate(cs);
-        },
-        bopts);
-    const search::CachingObjective bounded_cached{search::Objective(bounded)};
     // With a critical-path report requested, an incumbent probe rides along
     // so the best distribution the search observed can be blamed afterwards.
-    // Pruned candidates' certified lower bounds exceed the incumbent by
-    // construction, so recording them can never displace the best.
     std::optional<search::IncumbentProbe> probe;
-    if (opts.critical_path)
-      probe.emplace(search::Objective(bounded_cached), &registry);
+    if (opts.critical_path) probe.emplace(search::Objective(lanes), &registry);
     const ConvergenceRecorder recorder{
-        probe ? search::Objective(*probe) : search::Objective(bounded_cached)};
+        probe ? search::Objective(*probe) : search::Objective(lanes)};
     const search::IncumbentProbe* probe_p = probe ? &*probe : nullptr;
     const search::BatchObjective batched(
         search::Objective(recorder),
-        [&bounded, &recorder, probe_p](const std::vector<dist::GenBlock>& cs) {
-          auto values = bounded(cs);
+        [&lanes, &recorder, probe_p](const std::vector<dist::GenBlock>& cs) {
+          auto values = lanes.evaluate(cs);
           for (std::size_t i = 0; i < values.size(); ++i) {
             if (probe_p != nullptr) probe_p->record(cs[i], values[i]);
             recorder.record(values[i]);
           }
           return values;
         });
-    const search::SearchResult sr =
-        run_search(opts.search, batched, d, ctx, arch, opts.seed);
+    const search::SearchResult sr = search::run_named(
+        opts.search, batched, d, ctx, arch.spectrum, opts.seed);
     result.searched = true;
     result.search_algorithm = opts.search;
     result.search_best_s = sr.best_time;
@@ -243,7 +191,6 @@ ProfileResult run_profile(const exp::Workload& w, const ProfileOptions& opts,
     result.convergence = recorder.series();
     result.delta = lanes.scalar_stats();
     result.lanes = lanes.stats();
-    result.bounds = bounded.stats();
     registry.gauge("search_best_cost_s").set(sr.best_time);
 
     if (probe && probe->has_best()) {

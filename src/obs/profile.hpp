@@ -27,7 +27,6 @@
 #include "obs/convergence.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/registry.hpp"
-#include "search/objective.hpp"
 
 namespace mheta::obs {
 
@@ -82,10 +81,6 @@ struct ProfileResult {
   /// route whole candidate sets through K-wide clock sweeps (also exported
   /// as lane_eval_* metrics).
   core::LaneStats lanes;
-  /// Certified branch-and-bound counters from the same search pass: the
-  /// interval-bounds screen in front of the lane evaluator (also exported
-  /// as bounds_* metrics).
-  search::BoundedStats bounds;
 
   // Critical-path pass (when ProfileOptions::critical_path was set).
   bool critical = false;

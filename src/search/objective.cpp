@@ -151,22 +151,7 @@ struct BoundedObjective::State {
         predictor(&p),
         inner(std::move(in)),
         inner_batch(std::move(batch)),
-        options(opts) {
-    if (options.metrics != nullptr) {
-      auto& m = *options.metrics;
-      m_pruned = &m.counter("bounds_pruned_total",
-                            "candidates skipped on a certified lower bound");
-      m_evaluated = &m.counter("bounds_evaluated_total",
-                               "candidates scored by the inner objective");
-      m_crosschecks = &m.counter("bounds_crosschecks_total",
-                                 "lo <= value <= hi oracle comparisons");
-      m_violations = &m.counter("bounds_violations_total",
-                                "oracle failures (latches the fallback)");
-      m_width = &m.gauge("bounds_width_rel",
-                         "mean relative envelope width over evaluated "
-                         "candidates");
-    }
-  }
+        options(opts) {}
 
   analysis::bounds::CostBoundsAnalyzer analyzer;
   const core::Predictor* predictor;
@@ -186,19 +171,12 @@ struct BoundedObjective::State {
   std::atomic<std::size_t> crosschecks{0};
   std::atomic<std::size_t> violations{0};
 
-  obs::Counter* m_pruned = nullptr;
-  obs::Counter* m_evaluated = nullptr;
-  obs::Counter* m_crosschecks = nullptr;
-  obs::Counter* m_violations = nullptr;
-  obs::Gauge* m_width = nullptr;
-
   // Prune bookkeeping; returns the certified lower bound as the candidate's
   // value. lb > incumbent >= every later incumbent >= the run's best_time,
   // so a pruned candidate can never win a comparison downstream.
   double record_prune(const dist::GenBlock& d, double lb,
                       double incumbent_at_prune) {
     pruned.fetch_add(1, std::memory_order_relaxed);
-    if (m_pruned != nullptr) m_pruned->inc();
     if (options.max_pruned_samples > 0) {
       std::lock_guard<std::mutex> lock(mu);
       if (samples.size() < options.max_pruned_samples)
@@ -211,15 +189,12 @@ struct BoundedObjective::State {
   // scored: oracle, width accounting, incumbent update.
   double finish(const analysis::bounds::TotalBounds& b, double value) {
     const std::size_t n = evaluated.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (m_evaluated != nullptr) m_evaluated->inc();
     const int every = options.crosscheck_every;
     if (every > 0 && (n - 1) % static_cast<std::size_t>(every) == 0) {
       crosschecks.fetch_add(1, std::memory_order_relaxed);
-      if (m_crosschecks != nullptr) m_crosschecks->inc();
       const double tol = options.crosscheck_tolerance_s;
       if (value < b.total.lo - tol || value > b.total.hi + tol) {
         violations.fetch_add(1, std::memory_order_relaxed);
-        if (m_violations != nullptr) m_violations->inc();
         latched.store(true, std::memory_order_relaxed);
         const double gap = std::max(b.total.lo - value, value - b.total.hi);
         std::lock_guard<std::mutex> lock(mu);
@@ -230,8 +205,6 @@ struct BoundedObjective::State {
       std::lock_guard<std::mutex> lock(mu);
       width_rel_sum += b.width_rel();
       if (value < incumbent) incumbent = value;
-      if (m_width != nullptr)
-        m_width->set(width_rel_sum / static_cast<double>(n));
     }
     return value;
   }

@@ -133,10 +133,6 @@ struct BoundedOptions {
   /// Keep at most this many PrunedSamples for post-hoc re-evaluation audits
   /// (the bench's pruned-candidate exactness check). 0 keeps none.
   std::size_t max_pruned_samples = 0;
-  /// Optional (not owned): reports `bounds_pruned_total`,
-  /// `bounds_evaluated_total`, `bounds_crosschecks_total`,
-  /// `bounds_violations_total` and the `bounds_width_rel` gauge.
-  obs::MetricsRegistry* metrics = nullptr;
 };
 
 /// One pruned candidate, recorded for post-hoc audits: re-evaluating
@@ -179,7 +175,12 @@ struct BoundedStats {
 /// crosscheck oracle asserts lo <= value <= hi (within tolerance) on
 /// evaluated candidates. Any violation trips a permanent latch that routes
 /// everything to the inner objective — identical results, no pruning — and
-/// is reported through stats() and the metrics registry.
+/// is reported through stats().
+///
+/// No production path composes it: in front of the lanes it took 3.72x the
+/// wall time of the same stack without it (layerbench scale-search; one
+/// total_bounds costs about 3.5 lane evaluations). It stays for
+/// bench/search_algorithms, its tests and layerbench's bounded replay.
 ///
 /// Wraps any inner Objective (make_objective, DeltaObjective,
 /// LaneObjective's scalar path); the batch constructor additionally routes
@@ -227,11 +228,9 @@ class BoundedObjective {
 /// the objective chain when that report was requested, so the fast paths
 /// pay nothing otherwise.
 ///
-/// Values routed around the inner objective (e.g. certified lower bounds
-/// for pruned candidates) may be fed in through record(); a pruned value is
-/// by construction above the incumbent, so it can never displace the best.
-/// Copies share state (mutex-guarded), and both entry points are safe to
-/// call concurrently.
+/// Values scored around the inner objective (e.g. a lane-batched candidate
+/// set) are fed in through record(). Copies share state (mutex-guarded),
+/// and both entry points are safe to call concurrently.
 class IncumbentProbe {
  public:
   /// `metrics` (optional, not owned) reports `incumbent_improvements_total`

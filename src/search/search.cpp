@@ -123,11 +123,11 @@ std::vector<double> BatchObjective::operator()(
   if (batch_ != nullptr && candidates.size() > 1) return batch_(candidates);
   std::vector<double> values(candidates.size());
   if (pool_ != nullptr && candidates.size() > 1) {
-    pool_->parallel_for(static_cast<std::int64_t>(candidates.size()),
-                        [&](std::int64_t i) {
-                          values[static_cast<std::size_t>(i)] =
-                              objective_(candidates[static_cast<std::size_t>(i)]);
-                        });
+    pool_->parallel_for(
+        static_cast<std::int64_t>(candidates.size()), [&](std::int64_t i) {
+          values[static_cast<std::size_t>(i)] =
+              objective_(candidates[static_cast<std::size_t>(i)]);
+        });
   } else {
     for (std::size_t i = 0; i < candidates.size(); ++i)
       values[i] = objective_(candidates[i]);
@@ -213,7 +213,8 @@ SearchResult random_search(const SpectrumSpace& space,
   SearchResult result;
   std::vector<dist::GenBlock> candidates;
   candidates.reserve(static_cast<std::size_t>(samples));
-  for (int i = 0; i < samples; ++i) candidates.push_back(space.at(rng.uniform01()));
+  for (int i = 0; i < samples; ++i)
+    candidates.push_back(space.at(rng.uniform01()));
   const auto values = objective(candidates);
   bool have_best = false;
   for (std::size_t i = 0; i < candidates.size(); ++i) {
@@ -399,7 +400,8 @@ SearchResult tabu_search(const dist::GenBlock& start,
     candidates.clear();
     for (int k = 0; k < opts.neighbors; ++k) {
       auto candidate = neighbor_move(current, max_move, rng);
-      if (!candidate || is_tabu(*candidate)) continue;  // skipped, not evaluated
+      // Skipped, not evaluated.
+      if (!candidate || is_tabu(*candidate)) continue;
       candidates.push_back(std::move(*candidate));
     }
     const auto values = objective(candidates);
@@ -522,6 +524,29 @@ SearchResult genetic(const dist::DistContext& ctx,
 SearchResult genetic(const dist::DistContext& ctx, const Objective& objective,
                      const GeneticOptions& opts, std::uint64_t seed) {
   return genetic(ctx, BatchObjective(objective), opts, seed);
+}
+
+SearchResult run_named(const std::string& algorithm,
+                       const BatchObjective& objective,
+                       const dist::GenBlock& start,
+                       const dist::DistContext& ctx,
+                       cluster::SpectrumKind spectrum, std::uint64_t seed) {
+  if (algorithm == "tabu") return tabu_search(start, objective, {}, seed);
+  if (algorithm == "anneal") {
+    // Inherently sequential (each candidate depends on the previous
+    // accept/reject), so it consumes the scalar entry only.
+    const Objective scalar = [&objective](const dist::GenBlock& d) {
+      return objective(d);
+    };
+    return simulated_annealing(start, scalar, {}, seed);
+  }
+  if (algorithm == "hill") return hill_climb(start, objective, {}, seed);
+  if (algorithm == "genetic") return genetic(ctx, objective, {}, seed);
+  if (algorithm == "gbs") return gbs(SpectrumSpace(ctx, spectrum), objective);
+  if (algorithm == "random")
+    return random_search(SpectrumSpace(ctx, spectrum), objective, 64, seed);
+  throw CheckError("unknown search algorithm '" + algorithm +
+                   "' (expected tabu|gbs|anneal|genetic|random|hill)");
 }
 
 }  // namespace mheta::search

@@ -18,16 +18,18 @@
 // bit-identical to the serial one (same `best`, `best_time`, `evaluations`).
 //
 // Simulated annealing is still scalar-accelerated: each accept/reject step
-// evaluates exactly one candidate, which is the shape DeltaObjective's
-// O(changed-nodes) incremental path was built for. Route it through a
-// DeltaObjective (or LaneObjective's scalar path) wherever the other
-// algorithms get the batched evaluator — the values are bit-identical to
-// the full model, so the annealing trajectory does not change.
+// evaluates exactly one candidate, which is the shape the O(changed-nodes)
+// incremental path was built for. run_named() hands it the scalar entry of
+// the same BatchObjective(LaneObjective) the other algorithms batch
+// through — LaneObjective's scalar path is that incremental evaluator, and
+// its values are bit-identical to the full model, so the annealing
+// trajectory does not change.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cluster/suite.hpp"
@@ -196,8 +198,9 @@ struct TabuOptions {
   int tabu_tenure = 50;
   std::int64_t max_move_rows = 0;  ///< 0 -> rows/16
 };
-SearchResult tabu_search(const dist::GenBlock& start, const Objective& objective,
-                         const TabuOptions& opts, std::uint64_t seed);
+SearchResult tabu_search(const dist::GenBlock& start,
+                         const Objective& objective, const TabuOptions& opts,
+                         std::uint64_t seed);
 SearchResult tabu_search(const dist::GenBlock& start,
                          const BatchObjective& objective,
                          const TabuOptions& opts, std::uint64_t seed);
@@ -215,5 +218,16 @@ SearchResult genetic(const dist::DistContext& ctx, const Objective& objective,
 SearchResult genetic(const dist::DistContext& ctx,
                      const BatchObjective& objective,
                      const GeneticOptions& opts, std::uint64_t seed);
+
+/// Runs one algorithm by name — tabu | gbs | anneal | genetic | random |
+/// hill — with its default options: tabu, anneal and hill start from
+/// `start`; gbs and random walk the `spectrum` of `ctx` (random draws 64
+/// samples). Annealing consumes the scalar entry of `objective` only.
+/// Throws CheckError on an unknown name.
+SearchResult run_named(const std::string& algorithm,
+                       const BatchObjective& objective,
+                       const dist::GenBlock& start,
+                       const dist::DistContext& ctx,
+                       cluster::SpectrumKind spectrum, std::uint64_t seed);
 
 }  // namespace mheta::search

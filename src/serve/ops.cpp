@@ -315,30 +315,12 @@ obs::JsonValue search_payload(const Session& session,
                               const std::string& algorithm,
                               std::uint64_t seed, int iterations) {
   const int iters = effective_iterations(session, iterations);
-  const search::Objective objective = search::make_objective(
-      session.predictor(), iters, session.arch().cluster);
+  const search::LaneObjective lanes(session.predictor(), iters,
+                                    session.arch().cluster);
   const dist::DistContext& ctx = session.context();
-  const dist::GenBlock start = dist::block_dist(ctx);
-
-  search::SearchResult result;
-  if (algorithm == "tabu") {
-    result = search::tabu_search(start, objective, {}, seed);
-  } else if (algorithm == "anneal") {
-    result = search::simulated_annealing(start, objective, {}, seed);
-  } else if (algorithm == "hill") {
-    result = search::hill_climb(start, objective, {}, seed);
-  } else if (algorithm == "genetic") {
-    result = search::genetic(ctx, objective, {}, seed);
-  } else if (algorithm == "gbs") {
-    const search::SpectrumSpace space(ctx, session.arch().spectrum);
-    result = search::gbs(space, objective);
-  } else if (algorithm == "random") {
-    const search::SpectrumSpace space(ctx, session.arch().spectrum);
-    result = search::random_search(space, objective, 64, seed);
-  } else {
-    throw CheckError("unknown search algorithm '" + algorithm +
-                     "' (expected tabu|gbs|anneal|genetic|random|hill)");
-  }
+  const search::SearchResult result = search::run_named(
+      algorithm, search::BatchObjective(lanes), dist::block_dist(ctx), ctx,
+      session.arch().spectrum, seed);
 
   obs::JsonValue j = object();
   j.object["app"] = string_value(session.workload().name);

@@ -1,6 +1,6 @@
 // A small intrusive-list LRU cache.
 //
-// Used by the evaluation fast path: the Predictor memoizes per-(rank, rows)
+// Used by the evaluation fast path: the Predictor memoizes per-(memory, rows)
 // memory plans and CachingObjective memoizes per-distribution predictions.
 // Not internally synchronized — callers that share a cache across threads
 // hold their own lock around get/put.

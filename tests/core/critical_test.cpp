@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,12 @@ struct Triple {
   const char* arch;
   const char* dist;
 };
+
+// Prints the strings, not the struct's bytes: the bytes are pointers, which
+// would put a per-process address into the test's ctest name.
+void PrintTo(const Triple& t, std::ostream* os) {
+  *os << t.workload << " on " << t.arch << " (" << t.dist << ")";
+}
 
 dist::GenBlock dist_for(const dist::DistContext& ctx, const std::string& d) {
   if (d == "bal") return dist::balanced_dist(ctx);

@@ -8,6 +8,8 @@
 
 #include <bit>
 #include <cstdint>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "exp/experiment.hpp"
@@ -105,6 +107,33 @@ TEST(FastPath, PlanCacheAloneIsInvisible) {
     expect_bit_identical(cached.predict(point.dist, 10),
                          uncached.predict(point.dist, 10));
   }
+}
+
+TEST(FastPath, PlanCacheMissesOncePerMemoryAndRows) {
+  // A plan depends on the arrays, the row count and the node's memory, not
+  // on the rank: ranks with equal memory and rows share one LRU entry. HY1
+  // mixes two memory sizes, so a block distribution plans once per
+  // distinct (memory, rows) pair, not once per rank.
+  const auto arch = cluster::find_arch("HY1");
+  const auto w = exp::jacobi_workload(false);
+  exp::ExperimentOptions cached_opts;
+  exp::ExperimentOptions uncached_opts;
+  uncached_opts.model.plan_cache_capacity = 0;
+  const auto cached = exp::build_predictor(arch, w, cached_opts);
+  const auto uncached = exp::build_predictor(arch, w, uncached_opts);
+  const auto d = dist::block_dist(exp::make_context(arch, w, cached_opts));
+  const auto& memory = cached.memory_bytes();
+  std::set<std::int64_t> sizes(memory.begin(), memory.end());
+  std::set<std::pair<std::int64_t, std::int64_t>> keys;
+  for (int r = 0; r < d.nodes(); ++r)
+    keys.emplace(memory[static_cast<std::size_t>(r)], d.count(r));
+  ASSERT_EQ(sizes.size(), 2u);
+  ASSERT_LT(keys.size(), static_cast<std::size_t>(d.nodes()));
+
+  expect_bit_identical(cached.predict(d, 10), uncached.predict(d, 10));
+  const auto stats = cached.plan_cache_stats();
+  EXPECT_EQ(stats.misses, keys.size());
+  EXPECT_EQ(stats.hits, static_cast<std::uint64_t>(d.nodes()) - keys.size());
 }
 
 TEST(FastPath, TinyPlanCacheEvictsCorrectly) {

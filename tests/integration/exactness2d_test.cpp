@@ -3,6 +3,9 @@
 // and every point of the 2-D candidate family.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "exp/experiment2d.hpp"
 
 namespace mheta::exp {
@@ -15,9 +18,11 @@ ExperimentOptions exact_options() {
   return opts;
 }
 
-class Exactness2D
-    : public ::testing::TestWithParam<std::pair<const char*, dist::NodeGrid>> {
-};
+// The architecture name is a std::string, not a const char*, so the test's
+// printed parameter (and hence its ctest name) carries no pointer address.
+using ArchGrid = std::pair<std::string, dist::NodeGrid>;
+
+class Exactness2D : public ::testing::TestWithParam<ArchGrid> {};
 
 TEST_P(Exactness2D, Jacobi2dMatchesSimulator) {
   const auto [arch_name, grid] = GetParam();
@@ -35,13 +40,11 @@ TEST_P(Exactness2D, Jacobi2dMatchesSimulator) {
 
 INSTANTIATE_TEST_SUITE_P(
     GridsAndArchs, Exactness2D,
-    ::testing::Values(std::pair{"DC", dist::NodeGrid{4, 2}},
-                      std::pair{"DC", dist::NodeGrid{2, 4}},
-                      std::pair{"IO", dist::NodeGrid{4, 2}},
-                      std::pair{"HY1", dist::NodeGrid{2, 4}},
-                      std::pair{"HY2", dist::NodeGrid{8, 1}}),
+    ::testing::Values(ArchGrid{"DC", {4, 2}}, ArchGrid{"DC", {2, 4}},
+                      ArchGrid{"IO", {4, 2}}, ArchGrid{"HY1", {2, 4}},
+                      ArchGrid{"HY2", {8, 1}}),
     [](const auto& info) {
-      return std::string(info.param.first) + "_" +
+      return info.param.first + "_" +
              std::to_string(info.param.second.p) + "x" +
              std::to_string(info.param.second.q);
     });

@@ -12,6 +12,9 @@
 #include <sstream>
 
 #include "obs/json.hpp"
+#include "search/objective.hpp"
+#include "search/search.hpp"
+#include "util/check.hpp"
 
 namespace mheta::obs {
 namespace {
@@ -124,6 +127,39 @@ TEST_F(ProfileRun, SearchPassWritesConvergenceSeries) {
   EXPECT_EQ(csv.rfind("evaluation,cost,best\n", 0), 0u);
 }
 
+// The profile searches through lanes with nothing screening candidates, so
+// every algorithm ends where it ends over the full model: same best, same
+// evaluation count. (A screen that scores pruned candidates by their lower
+// bound moves tabu, anneal and genetic elsewhere on this input.)
+TEST_F(ProfileRun, SearchAnswersWhatTheFullModelAnswers) {
+  const auto w = exp::workload_by_name("jacobi");
+  ASSERT_TRUE(w.has_value());
+  ProfileOptions opts;
+  opts.arch = "HY1";
+  const cluster::ArchConfig arch = cluster::find_arch(opts.arch);
+  const core::Predictor predictor =
+      exp::build_predictor(arch, *w, opts.experiment);
+  const dist::DistContext ctx = exp::make_context(arch, *w, opts.experiment);
+  for (const char* algorithm :
+       {"tabu", "gbs", "anneal", "genetic", "random", "hill"}) {
+    opts.search = algorithm;
+    MetricsRegistry registry;
+    const ProfileResult result =
+        run_profile(*w, opts, registry, dir_.string());
+    const search::SearchResult full = search::run_named(
+        algorithm,
+        search::BatchObjective(
+            search::make_objective(predictor, w->iterations, arch.cluster)),
+        dist_by_name(ctx, opts.dist), ctx, arch.spectrum, opts.seed);
+    EXPECT_EQ(result.search_best_s, full.best_time) << algorithm;
+    EXPECT_EQ(result.search_evaluations, full.evaluations) << algorithm;
+    ASSERT_EQ(result.convergence.size(),
+              static_cast<std::size_t>(full.evaluations))
+        << algorithm;
+    EXPECT_EQ(result.convergence.back().best, full.best_time) << algorithm;
+  }
+}
+
 TEST_F(ProfileRun, RejectsUnknownDistributionAndSearchNames) {
   const auto w = exp::workload_by_name("jacobi");
   ASSERT_TRUE(w.has_value());
@@ -137,7 +173,7 @@ TEST_F(ProfileRun, RejectsUnknownDistributionAndSearchNames) {
   bad_search.search = "nope";
   bad_search.iterations = 1;
   EXPECT_THROW(run_profile(*w, bad_search, registry2, dir_.string()),
-               std::runtime_error);
+               CheckError);
 }
 
 }  // namespace

@@ -93,7 +93,7 @@ BoundedObjective make_bounded(const AppFixture& f, BoundedOptions opts = {}) {
 }
 
 class BoundedVsFull
-    : public ::testing::TestWithParam<std::tuple<const char*, const char*>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {};
 
 // The acceptance gate in miniature: run each algorithm through the screen,
 // then (a) the oracle saw every evaluated candidate and never fired, (b)
@@ -141,8 +141,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("jacobi", "rna"),
                        ::testing::Values("gbs", "hill", "tabu", "genetic")),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param)) + "_" +
-             std::get<1>(info.param);
+      return std::get<0>(info.param) + "_" + std::get<1>(info.param);
     });
 
 // The scalar path without a batch inner: same contract on a tabu run.

@@ -104,7 +104,7 @@ SearchResult run_algorithm(const std::string& algo, const AppFixture& f,
 }
 
 class DeltaVsFull
-    : public ::testing::TestWithParam<std::tuple<const char*, const char*>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {};
 
 TEST_P(DeltaVsFull, BitIdenticalAcrossTenSeeds) {
   const auto& [app, algo] = GetParam();
@@ -132,8 +132,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("jacobi", "cg", "lanczos", "rna"),
                        ::testing::Values("gbs", "hill", "tabu", "genetic")),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param)) + "_" +
-             std::get<1>(info.param);
+      return std::get<0>(info.param) + "_" + std::get<1>(info.param);
     });
 
 // Moves at the ends of the rank line: the first and last ranks sit on the

@@ -119,7 +119,7 @@ SearchResult run_algorithm(const std::string& algo, const AppFixture& f,
 }
 
 class LaneVsFull
-    : public ::testing::TestWithParam<std::tuple<const char*, const char*>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {};
 
 TEST_P(LaneVsFull, BitIdenticalTrajectories) {
   const auto& [app, algo] = GetParam();
@@ -150,8 +150,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("jacobi", "cg", "lanczos", "rna"),
                        ::testing::Values("gbs", "hill", "tabu", "genetic")),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param)) + "_" +
-             std::get<1>(info.param);
+      return std::get<0>(info.param) + "_" + std::get<1>(info.param);
     });
 
 /// A candidate set covering the awkward shapes: rank-boundary moves, big

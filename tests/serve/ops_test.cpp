@@ -16,6 +16,8 @@
 #include "core/critical.hpp"
 #include "obs/json.hpp"
 #include "obs/registry.hpp"
+#include "search/objective.hpp"
+#include "search/search.hpp"
 #include "serve/session.hpp"
 
 namespace mheta::serve {
@@ -176,6 +178,45 @@ TEST(Ops, SearchPayloadRunsEveryAlgorithm) {
     EXPECT_GT(payload.get("evaluations")->number, 0) << algorithm;
   }
   EXPECT_THROW(search_payload(session, "bogosort", 42, 0), CheckError);
+}
+
+// The daemon searches through lanes; every served (app, arch) pair must
+// answer exactly what the same algorithm answers over the full model.
+TEST(Ops, SearchPayloadMatchesTheFullModelOnEverySession) {
+  constexpr std::uint64_t kSeed = 11;
+  for (const char* arch : {"DC", "IO", "HY1", "HY2"}) {
+    for (const char* app : {"jacobi", "jacobi-pf", "cg", "lanczos", "rna",
+                            "multigrid", "isort"}) {
+      const Session session(app, arch);
+      const dist::DistContext& ctx = session.context();
+      for (const char* algorithm :
+           {"tabu", "gbs", "anneal", "genetic", "random", "hill"}) {
+        for (const int iterations : {0, 7}) {
+          const obs::JsonValue payload =
+              search_payload(session, algorithm, kSeed, iterations);
+          const int iters =
+              static_cast<int>(payload.get("iterations")->number);
+          const search::SearchResult full = search::run_named(
+              algorithm,
+              search::BatchObjective(search::make_objective(
+                  session.predictor(), iters, session.arch().cluster)),
+              dist::block_dist(ctx), ctx, session.arch().spectrum, kSeed);
+          obs::JsonValue expected = payload;
+          expected.object["best_total_s"].number = full.best_time;
+          expected.object["evaluations"].number = full.evaluations;
+          auto& counts = expected.object["best_counts"].array;
+          ASSERT_EQ(counts.size(), static_cast<std::size_t>(full.best.nodes()));
+          for (std::size_t i = 0; i < counts.size(); ++i)
+            counts[i].number =
+                static_cast<double>(full.best.count(static_cast<int>(i)));
+          EXPECT_EQ(obs::json_serialize(payload),
+                    obs::json_serialize(expected))
+              << app << " on " << arch << ", " << algorithm
+              << ", iterations " << iterations;
+        }
+      }
+    }
+  }
 }
 
 TEST(Ops, BoundsTextMentionsEveryNode) {

@@ -166,13 +166,6 @@ int main(int argc, char** argv) {
                   << " scalar, " << ls.crosschecks << " cross-checks, max "
                   << "drift " << ls.max_drift_s << " s, "
                   << ls.fallback_latches << " fallback latches\n";
-        const search::BoundedStats& bs = result.bounds;
-        std::cout << "bounds: " << bs.pruned << " pruned / "
-                  << (bs.evaluated + bs.pruned) << " screened (rate "
-                  << bs.prune_rate() << "), mean rel width "
-                  << bs.width_rel_mean << ", " << bs.crosschecks
-                  << " oracle checks, " << bs.violations << " violations"
-                  << (bs.latched ? " (LATCHED)" : "") << '\n';
       }
       if (result.critical) {
         std::cout << '\n';
