@@ -617,8 +617,9 @@ TotalBounds CostBoundsAnalyzer::sweep(const std::vector<RankCells>& rows,
   double total_lo = 0;
   for (int r = 0; r < n_; ++r) {
     const Interval& e = out.iteration_end[static_cast<std::size_t>(r)];
-    out.node_end[static_cast<std::size_t>(r)] = widened(
-        e.lo + rest * out.w_lo[static_cast<std::size_t>(r)], e.hi + rest * m_hi);
+    out.node_end[static_cast<std::size_t>(r)] =
+        widened(e.lo + rest * out.w_lo[static_cast<std::size_t>(r)],
+                e.hi + rest * m_hi);
     total_lo = std::max(
         total_lo, e.lo + rest * out.w_lo[static_cast<std::size_t>(r)]);
   }

@@ -661,7 +661,8 @@ void mh019_numeric_overflow(const LintInput& in, Diagnostics& out) {
         double bytes = 0;
         for (const auto& a : p.arrays)
           if (a.name == var)
-            bytes = static_cast<double>(rows) * static_cast<double>(a.row_bytes);
+            bytes =
+                static_cast<double>(rows) * static_cast<double>(a.row_bytes);
         if (std::isfinite(io.read_s_per_byte))
           check_product(io.read_s_per_byte * bytes,
                         cat("node ", r, "'s read latency for variable '", var,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstring>
 #include <utility>
 
 #include "util/check.hpp"
@@ -26,16 +27,52 @@ int SweepTrace::critical_rank() const {
   return best;
 }
 
+namespace {
+
+// Walks the critical path backwards from the critical rank's head, calling
+// visit(event, real iteration) for each step. While repeats remain the walk
+// is inside the steady iteration; a pred link that leaves it (into the
+// transient, or -1 when iteration 0 is steady) crosses into the previous
+// real iteration — another copy of the steady one — whose last event on
+// this rank is its head (cross-iteration links are always local).
+template <typename Visit>
+void walk_back(const SweepTrace& trace, Visit&& visit) {
+  if (trace.head.empty()) return;
+  int e = trace.head[static_cast<std::size_t>(trace.critical_rank())];
+  int repeats = trace.steady_repeats;
+  while (e >= 0) {
+    const SweepEvent& ev = trace.events[static_cast<std::size_t>(e)];
+    visit(e, ev.iteration + repeats);
+    e = ev.pred;
+    if (repeats > 0 && e < trace.steady_begin) {
+      e = trace.head[static_cast<std::size_t>(ev.rank)];
+      --repeats;
+    }
+  }
+}
+
+}  // namespace
+
+std::vector<SweepTrace::Step> SweepTrace::critical_steps() const {
+  std::vector<Step> steps;
+  walk_back(*this, [&](int e, int it) { steps.push_back({e, it}); });
+  std::reverse(steps.begin(), steps.end());
+  return steps;
+}
+
 std::vector<int> SweepTrace::critical_path() const {
   std::vector<int> path;
-  if (head.empty()) return path;
-  int e = head[static_cast<std::size_t>(critical_rank())];
-  while (e >= 0) {
-    path.push_back(e);
-    e = events[static_cast<std::size_t>(e)].pred;
-  }
+  walk_back(*this, [&](int e, int) { path.push_back(e); });
   std::reverse(path.begin(), path.end());
   return path;
+}
+
+std::vector<double> SweepTrace::iteration_base() const {
+  std::vector<double> base(static_cast<std::size_t>(iterations), 0.0);
+  const std::size_t steady = renorm.size() - 1;
+  for (std::size_t i = 1; i < base.size(); ++i)
+    base[i] = base[i - 1] + renorm[std::min(i - 1, steady)];
+  return base;
 }
 
 const char* perturbation_kind_name(Perturbation::Kind kind) {
@@ -126,9 +163,12 @@ SweepTrace Predictor::predict_traced(const dist::GenBlock& d,
   trace.head.assign(static_cast<std::size_t>(n), -1);
   Prediction& out = trace.prediction;
 
-  // Absolute per-node clocks: no renormalization, no steady-state shortcut,
-  // so every t_start/t_end is a real point on the predicted timeline.
+  // Per-node clock offsets within the current iteration, renormalized
+  // between iterations exactly as run_iterations does: every addition and
+  // max below is the one predict() performs, in the same order, so event
+  // times and totals are bit-identical to it.
   std::vector<double> t(static_cast<std::size_t>(n), 0.0);
+  IterationAgg agg;  // the current iteration's diagnostic sums
 
   /// A pending message: its arrival time, the send event that produced it,
   /// the sender, and the wire time it carries.
@@ -148,8 +188,9 @@ SweepTrace Predictor::predict_traced(const dist::GenBlock& d,
   };
 
   // The three advance shapes of the recurrence. Each records exactly one
-  // event whose predecessor's t_end (+ edge) equals its t_start, so chains
-  // telescope bit for bit.
+  // event whose predecessor's t_end (+ edge, or - the renormalization when
+  // the predecessor ended the rank's previous iteration) equals its
+  // t_start, so chains telescope bit for bit.
   auto send_event = [&](int r, int si, int it, int tile, int term,
                         SweepEvent::Kind kind) {
     SweepEvent e;
@@ -207,8 +248,8 @@ SweepTrace Predictor::predict_traced(const dist::GenBlock& d,
     const double* ios = st.io_s.data() + base_idx;
     for (int g = 0; g < stages; ++g) {
       t[static_cast<std::size_t>(r)] += ss[g];
-      out.compute_s += cs[g];
-      out.io_s += ios[g];
+      agg.compute_s += cs[g];
+      agg.io_s += ios[g];
     }
     e.t_end = t[static_cast<std::size_t>(r)];
     e.slot_begin = static_cast<int>(base_idx);
@@ -284,7 +325,28 @@ SweepTrace Predictor::predict_traced(const dist::GenBlock& d,
   };
 
   const auto& sections = structure_.sections;
+  std::vector<double> start;       // this iteration's start offsets
+  std::vector<double> prev_start;  // the previous iteration's
+  std::vector<double> last_end;    // its offsets before renormalization
   for (int it = 0; it < iterations; ++it) {
+    if (options_.steady_state_shortcut && it > 0 &&
+        std::memcmp(t.data(), prev_start.data(), t.size() * sizeof(double)) ==
+            0) {
+      // Iteration it - 1 started from exactly these offsets, so it and
+      // every later iteration are the same: stop recording. `agg` still
+      // holds its sums, added once per repeat as run_iterations does; the
+      // final iteration is not renormalized.
+      trace.steady_repeats = iterations - it;
+      for (int i = 0; i < trace.steady_repeats; ++i) {
+        out.compute_s += agg.compute_s;
+        out.io_s += agg.io_s;
+      }
+      t = last_end;
+      break;
+    }
+    start.assign(t.begin(), t.end());
+    trace.steady_begin = static_cast<int>(trace.events.size());
+    agg = {};
     for (std::size_t si = 0; si < sections.size(); ++si) {
       const SectionSpec& section = sections[si];
       const auto& st = cache.sections[si];
@@ -348,10 +410,29 @@ SweepTrace Predictor::predict_traced(const dist::GenBlock& d,
       if (section.has_reduction)
         traced_reduction(section.reduce_bytes, sidx, it);
     }
+    out.compute_s += agg.compute_s;
+    out.io_s += agg.io_s;
+    if (it + 1 == iterations) {
+      trace.renorm.push_back(0.0);
+      break;
+    }
+
+    last_end.assign(t.begin(), t.end());
+    const double m = *std::min_element(t.begin(), t.end());
+    for (auto& o : t) o -= m;
+    trace.renorm.push_back(m);
+    std::swap(prev_start, start);
   }
 
-  out.node_end_s = t;
-  out.total_s = *std::max_element(t.begin(), t.end());
+  // The renormalization absorbed before the final iteration, summed in
+  // run_iterations' order.
+  const double base = trace.iteration_base().back();
+  out.node_end_s.resize(static_cast<std::size_t>(n));
+  for (int r = 0; r < n; ++r)
+    out.node_end_s[static_cast<std::size_t>(r)] =
+        base + t[static_cast<std::size_t>(r)];
+  out.total_s = *std::max_element(out.node_end_s.begin(),
+                                  out.node_end_s.end());
   return trace;
 }
 

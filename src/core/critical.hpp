@@ -5,21 +5,31 @@
 // SweepEvent whose predecessor link names the exact event that determined
 // its start time: the node's own previous event for sequential advances,
 // or — when a remote arrival won the max of a receive — the sender's send
-// event, with the network transfer carried on the edge. The chain therefore
-// telescopes exactly: for every event, t_start == events[pred].t_end +
-// edge_s, so walking any rank's head backwards reproduces that rank's final
-// clock as a sum of event durations plus edge transfers, bit for bit.
-// Walking the *critical* rank's head yields the causal critical path — the
+// event, with the network transfer carried on the edge. Walking the
+// *critical* rank's head backwards yields the causal critical path — the
 // unique chain of (node, section, stage/comm, cost term) residencies that
 // bounds the makespan — which obs/critical_path.* turns into the blame and
 // sensitivity reports.
 //
-// The traced sweep is deliberately scalar and shortcut-free: absolute
-// clocks, no inter-iteration renormalization, no steady-state collapse,
-// uniform iterations only. Its totals agree with predict() within floating
-// summation error (the tests pin 1e-9); the hot paths (delta evaluation,
-// lane batching) never touch any of this code — tracing is a separate entry
-// point, so prediction stays zero-cost when tracing is off.
+// The traced sweep is predict()'s sweep, step for step: per-rank clock
+// offsets renormalized by their minimum between iterations, and the same
+// bitwise steady-state test. Once iteration k starts from exactly the
+// offsets iteration k-1 started from, iteration s = k-1 is steady: every
+// later iteration repeats it event for event. The trace therefore records
+// iterations 0..s only (usually two) plus how often s repeats, and
+// critical_steps() walks the recorded steady iteration once per repeat, so
+// the path and the blame fold see all K iterations without K iterations of
+// events. With ModelOptions::steady_state_shortcut off, all K iterations
+// are recorded. Totals are bit-identical to predict().
+//
+// Event times are offsets within their iteration (the absolute time adds
+// SweepTrace::iteration_base()). The chain telescopes exactly: within an
+// iteration, t_start == events[pred].t_end + edge_s; across an iteration
+// boundary the predecessor is always the rank's own previous event and
+// t_start == events[pred].t_end - renorm[events[pred].iteration]. The hot
+// paths (delta evaluation, lane batching) never touch any of this code —
+// tracing is a separate entry point, so prediction stays zero-cost when
+// tracing is off.
 //
 // Perturbation + Predictor::perturbed support the what-if side: scale one
 // resource (a node's computation, a node's disk, the network latency or
@@ -47,15 +57,20 @@ struct SweepEvent {
   Kind kind = Kind::kStages;
   int rank = -1;
   int section_index = -1;  ///< index into ProgramStructure::sections
+  /// Recorded iteration. The steady iteration's events also stand for its
+  /// repeats; SweepTrace::critical_steps() carries the real iteration.
   int iteration = -1;
   int tile = -1;  ///< pipeline tile; -1 outside pipelined sections
   /// Index of the event whose t_end this event's start derives from; -1 for
-  /// the origin (clock 0). Always satisfies
-  /// t_start == events[pred].t_end + edge_s (with t_end 0 for pred == -1).
+  /// the origin (offset 0 of iteration 0). Within an iteration,
+  /// t_start == events[pred].t_end + edge_s; when pred lies in the previous
+  /// iteration (always the rank's own event, edge_s 0),
+  /// t_start == events[pred].t_end - SweepTrace::renorm[that iteration].
   int pred = -1;
   /// Sender rank when a remote arrival won the max (kRecv/kCollective with
   /// edge_s > 0); -1 for purely local advances.
   int src_rank = -1;
+  /// Clock offsets within the iteration, as predict() computes them.
   double t_start = 0;
   double t_end = 0;
   /// Network transfer time between the predecessor's end and this event's
@@ -74,14 +89,25 @@ struct SweepEvent {
 
 /// Everything predict_traced records about one evaluation.
 struct SweepTrace {
-  /// Totals of the traced sweep; equal to predict() within floating
-  /// summation error (renormalization is the only difference).
+  /// Totals of the traced sweep; bit-identical to predict().
   Prediction prediction;
-  int iterations = 0;
+  int iterations = 0;  ///< K, the real iteration count
 
+  /// Iterations 0..s in order, every one the same number of events in the
+  /// same order; s = renorm.size() - 1 is the steady iteration (K - 1 when
+  /// no fixed point was reached or the shortcut is off).
   std::vector<SweepEvent> events;
-  /// Per rank: index of its final event (-1 if its clock never advanced).
+  /// Per rank: index of its last recorded event, i.e. its last event of the
+  /// steady iteration (-1 if its clock never advanced).
   std::vector<int> head;
+  /// Per recorded iteration: the minimum offset subtracted from every clock
+  /// after it (0 for the final iteration, which is not renormalized).
+  std::vector<double> renorm;
+  /// Index of the first event of the steady iteration.
+  int steady_begin = 0;
+  /// How many more times the steady iteration runs after its recorded one
+  /// (iterations == renorm.size() + steady_repeats).
+  int steady_repeats = 0;
 
   /// Per-slot cost-term splits of the stage runs, mirroring the evaluation
   /// cache: terms[section][(rank * tiles + tile) * stages + g]. A kStages
@@ -91,15 +117,34 @@ struct SweepTrace {
   std::vector<int> section_tiles;   ///< per section (1 when not pipelined)
   std::vector<int> section_stages;  ///< per section
 
+  /// One event of the expanded critical path and the real iteration it
+  /// stands for.
+  struct Step {
+    int event = -1;
+    int iteration = -1;
+  };
+
   /// Rank whose final clock is the headline prediction (first of ties, like
   /// AttributedPrediction::critical_rank).
   int critical_rank() const;
 
-  /// Event indices on the critical path: the chain from critical_rank's
-  /// head through pred links, origin first. The chain telescopes exactly:
-  /// summing duration_s() + edge_s over it reproduces prediction.total_s
-  /// bit for bit.
+  /// The critical path over all K iterations, origin first: the chain from
+  /// critical_rank's head through pred links, re-entering the steady
+  /// iteration at head[rank] once per repeat when a link leaves it. Summing
+  /// duration_s() + edge_s over the steps reproduces prediction.total_s
+  /// within floating summation error (each boundary crossing adds back its
+  /// renormalization).
+  std::vector<Step> critical_steps() const;
+
+  /// critical_steps()' event indices: the steady iteration's indices recur
+  /// once per repeat, so the path is as long as a full K-iteration trace's.
   std::vector<int> critical_path() const;
+
+  /// Per real iteration: the renormalization absorbed before it, summed in
+  /// predict()'s order, so iteration_base()[i] + t is an event's absolute
+  /// time and iteration_base()[K - 1] + events[head[r]].t_end ==
+  /// prediction.node_end_s[r] bit for bit.
+  std::vector<double> iteration_base() const;
 };
 
 /// One what-if scaling of a measured resource.

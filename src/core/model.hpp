@@ -167,10 +167,11 @@ class Predictor {
 
   /// Instrumented scalar sweep (see critical.hpp): same recurrence as
   /// predict(), every clock advance recorded with its causal predecessor so
-  /// the critical path through the evaluation can be walked exactly.
-  /// Shortcut-free and renormalization-free — totals agree with predict()
-  /// within floating summation error (pinned to 1e-9 in tests). Separate
-  /// entry point: the untraced paths pay nothing for its existence.
+  /// the critical path through the evaluation can be walked exactly. Same
+  /// renormalization and steady-state shortcut too: it records the
+  /// transient and one steady iteration plus the steady iteration's repeat
+  /// count, and its totals are bit-identical to predict(). Separate entry
+  /// point: the untraced paths pay nothing for its existence.
   SweepTrace predict_traced(const dist::GenBlock& d, int iterations = 1) const;
 
   /// Copy of this predictor with `p` applied to its measured parameters and

@@ -10,6 +10,55 @@
 
 namespace mheta::obs {
 
+namespace {
+
+// Dense index of the blame cells, laid out so that index order is the
+// report's key order (rank, section id, stage id, term): per rank, the
+// sections in id order, each as its sorted distinct stage ids with
+// section-level communication as stage id -1, then one slot per cost term.
+// Section ids and a section's stage ids are unique (the Predictor's
+// construction lint rejects duplicates); a stage that is itself numbered -1
+// shares the communication cell, as it would share the key.
+struct CellLayout {
+  std::vector<int> section_id;  // per cell group
+  std::vector<int> stage_id;    // per cell group
+  std::vector<int> comm_group;  // per section index
+  std::vector<std::vector<int>> stage_group;  // [section index][stage index]
+
+  explicit CellLayout(const std::vector<core::SectionSpec>& sections) {
+    std::vector<std::size_t> by_id(sections.size());
+    for (std::size_t si = 0; si < sections.size(); ++si) by_id[si] = si;
+    std::sort(by_id.begin(), by_id.end(), [&](std::size_t a, std::size_t b) {
+      return sections[a].id < sections[b].id;
+    });
+    comm_group.resize(sections.size());
+    stage_group.resize(sections.size());
+    std::vector<int> ids;
+    for (const std::size_t si : by_id) {
+      const core::SectionSpec& section = sections[si];
+      ids.assign(1, -1);
+      for (const auto& stage : section.stages) ids.push_back(stage.id);
+      std::sort(ids.begin(), ids.end());
+      ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+      const int first = static_cast<int>(stage_id.size());
+      auto group_of = [&](int id) {
+        return first + static_cast<int>(
+                           std::lower_bound(ids.begin(), ids.end(), id) -
+                           ids.begin());
+      };
+      comm_group[si] = group_of(-1);
+      for (const auto& stage : section.stages)
+        stage_group[si].push_back(group_of(stage.id));
+      for (const int id : ids) {
+        section_id.push_back(section.id);
+        stage_id.push_back(id);
+      }
+    }
+  }
+};
+
+}  // namespace
+
 BlameReport build_blame(const core::Predictor& predictor,
                         const core::SweepTrace& trace) {
   const auto& sections = predictor.structure().sections;
@@ -18,68 +67,83 @@ BlameReport build_blame(const core::Predictor& predictor,
   r.total_s = trace.prediction.total_s;
   r.critical_rank = trace.critical_rank();
 
-  const std::vector<int> path = trace.critical_path();
+  const std::vector<core::SweepTrace::Step> path = trace.critical_steps();
+  const std::vector<double> base = trace.iteration_base();
   r.path_events = static_cast<int>(path.size());
   r.iteration_term_s.assign(static_cast<std::size_t>(trace.iterations), {});
   r.iteration_end_s.assign(static_cast<std::size_t>(trace.iterations), 0.0);
 
-  // (rank, section id, stage id, term) -> on-path seconds; (src, dst,
-  // section id) -> hop count and wire time. std::map keeps the fold
-  // deterministic before the final sort.
-  std::map<std::tuple<int, int, int, int>, double> cells;
+  // On-path seconds per (rank, section, stage or comm, term) cell, each
+  // touched cell summed in path order; (src, dst, section id) -> hop count
+  // and wire time. The std::map keeps the edge fold deterministic before
+  // the final sort.
+  const CellLayout layout(sections);
+  const std::size_t row = layout.stage_id.size() *
+                          static_cast<std::size_t>(core::kCostTermCount);
+  std::vector<double> cell_s(trace.head.size() * row, 0.0);
+  std::vector<char> touched(cell_s.size(), 0);
   std::map<std::tuple<int, int, int>, std::pair<int, double>> edges;
 
-  auto charge = [&](int rank, int section_id, int stage_id, int term,
-                    double seconds, int iteration) {
+  auto charge = [&](int rank, int group, int term, double seconds,
+                    int iteration) {
     if (seconds == 0) return;
-    cells[{rank, section_id, stage_id, term}] += seconds;
+    const std::size_t c =
+        static_cast<std::size_t>(rank) * row +
+        static_cast<std::size_t>(group) *
+            static_cast<std::size_t>(core::kCostTermCount) +
+        static_cast<std::size_t>(term);
+    cell_s[c] += seconds;
+    touched[c] = 1;
     r.path_seconds += seconds;
     r.term_s[static_cast<std::size_t>(term)] += seconds;
-    if (iteration >= 0)
-      r.iteration_term_s[static_cast<std::size_t>(iteration)]
-                        [static_cast<std::size_t>(term)] += seconds;
+    r.iteration_term_s[static_cast<std::size_t>(iteration)]
+                      [static_cast<std::size_t>(term)] += seconds;
   };
 
-  for (const int ei : path) {
-    const core::SweepEvent& e = trace.events[static_cast<std::size_t>(ei)];
-    const auto& section =
-        sections[static_cast<std::size_t>(e.section_index)];
-    if (e.iteration >= 0) {
-      auto& end = r.iteration_end_s[static_cast<std::size_t>(e.iteration)];
-      end = std::max(end, e.t_end);
-    }
+  for (const core::SweepTrace::Step& step : path) {
+    const core::SweepEvent& e =
+        trace.events[static_cast<std::size_t>(step.event)];
+    const std::size_t si = static_cast<std::size_t>(e.section_index);
+    const std::size_t it = static_cast<std::size_t>(step.iteration);
+    r.iteration_end_s[it] = std::max(r.iteration_end_s[it], base[it] + e.t_end);
     if (e.kind == core::SweepEvent::Kind::kStages) {
       // Split the stage run across its per-slot terms; the slots sum to the
       // event's duration within floating summation error.
       for (int g = 0; g < e.stage_count; ++g) {
         const core::CostTerms& ct =
-            trace.terms[static_cast<std::size_t>(e.section_index)]
-                       [static_cast<std::size_t>(e.slot_begin + g)];
-        const int stage_id = section.stages[static_cast<std::size_t>(g)].id;
+            trace.terms[si][static_cast<std::size_t>(e.slot_begin + g)];
+        const int group = layout.stage_group[si][static_cast<std::size_t>(g)];
         for (int term = 0; term < core::kCostTermCount; ++term)
-          charge(e.rank, section.id, stage_id, term,
-                 core::cost_term_value(ct, term), e.iteration);
+          charge(e.rank, group, term, core::cost_term_value(ct, term),
+                 step.iteration);
       }
     } else {
       // Communication advances: the full causal cost of the event — its
       // duration plus the wire time back to its remote predecessor — lands
       // in one term at section level (no single stage owns it).
-      charge(e.rank, section.id, -1, e.term, e.duration_s() + e.edge_s,
-             e.iteration);
+      charge(e.rank, layout.comm_group[si], e.term, e.duration_s() + e.edge_s,
+             step.iteration);
       if (e.edge_s > 0 && e.src_rank >= 0) {
-        auto& agg = edges[{e.src_rank, e.rank, section.id}];
+        auto& agg = edges[{e.src_rank, e.rank, sections[si].id}];
         agg.first += 1;
         agg.second += e.edge_s;
       }
     }
   }
 
-  for (const auto& [key, seconds] : cells) {
-    BlameCell c;
-    std::tie(c.rank, c.section_id, c.stage_id, c.term) = key;
-    c.seconds = seconds;
-    c.pct = r.path_seconds > 0 ? 100.0 * seconds / r.path_seconds : 0;
-    r.cells.push_back(c);
+  for (std::size_t c = 0; c < cell_s.size(); ++c) {
+    if (touched[c] == 0) continue;
+    const std::size_t group =
+        (c % row) / static_cast<std::size_t>(core::kCostTermCount);
+    BlameCell cell;
+    cell.rank = static_cast<int>(c / row);
+    cell.section_id = layout.section_id[group];
+    cell.stage_id = layout.stage_id[group];
+    cell.term = static_cast<int>(c % static_cast<std::size_t>(
+                                         core::kCostTermCount));
+    cell.seconds = cell_s[c];
+    cell.pct = r.path_seconds > 0 ? 100.0 * cell.seconds / r.path_seconds : 0;
+    r.cells.push_back(cell);
   }
   std::stable_sort(r.cells.begin(), r.cells.end(),
                    [](const BlameCell& a, const BlameCell& b) {

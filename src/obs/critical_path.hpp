@@ -2,13 +2,14 @@
 //
 // build_blame() folds a core::SweepTrace (every clock advance of an
 // evaluation with its causal predecessor — see core/critical.hpp) into the
-// blame report: walk the critical rank's chain backwards and charge every
-// second of it to a (node, section, stage, cost term) cell. Because the
-// chain telescopes exactly, the cells sum to the headline prediction —
-// residency percentages sum to 100% and the absolute seconds reproduce
-// predict()'s total, both within 1e-9 (pinned in tests). Cross-rank hops on
-// the path (a remote arrival that won a receive's max) are additionally
-// aggregated into per-(src, dst) comm edges with their wire time.
+// blame report: walk the critical rank's chain over all K iterations (the
+// steady iteration once per repeat) and charge every second of it to a
+// (node, section, stage, cost term) cell. Because the chain telescopes
+// exactly, the cells sum to the headline prediction — residency
+// percentages sum to 100% and the absolute seconds reproduce predict()'s
+// total, both within 1e-9 (pinned in tests). Cross-rank hops on the path
+// (a remote arrival that won a receive's max) are additionally aggregated
+// into per-(src, dst) comm edges with their wire time.
 //
 // what_if_sensitivity() answers "what if this resource were ε faster":
 // for every node's computation (C_i) and disk (S_i) and for the network's
@@ -65,7 +66,7 @@ struct BlameReport {
   std::string dist;
   int iterations = 0;
 
-  double total_s = 0;       ///< traced-sweep headline (== predict() to 1e-9)
+  double total_s = 0;       ///< traced-sweep headline (== predict(), bitwise)
   double path_seconds = 0;  ///< sum over cells (== total_s to 1e-9)
   int critical_rank = -1;
   int path_events = 0;
@@ -76,9 +77,9 @@ struct BlameReport {
   std::vector<BlameCell> cells;  ///< sorted by seconds, descending
   std::vector<BlameEdge> edges;  ///< sorted by transfer_s, descending
 
-  /// Per-iteration slices of the path: term composition and the predicted
-  /// time at which the iteration's last on-path event ends (the x-axis of
-  /// the Perfetto counter tracks).
+  /// Per-iteration slices of the path, one per real iteration: term
+  /// composition and the predicted absolute time at which the iteration's
+  /// last on-path event ends (the x-axis of the Perfetto counter tracks).
   std::vector<std::array<double, core::kCostTermCount>> iteration_term_s;
   std::vector<double> iteration_end_s;
 };

@@ -114,10 +114,11 @@ ProfileResult run_profile(const exp::Workload& w, const ProfileOptions& opts,
   report.actual_total_s = actual.seconds;
 
   // Critical-path pass: the same prediction once more through the traced
-  // sweep (absolute clocks, one event per advance), folded into the blame
-  // report and replayed per parameter for the what-if table. Only when
-  // requested — the traced sweep is scalar-only and the fast paths stay
-  // untouched otherwise.
+  // sweep (predict()'s renormalized recurrence, one event per advance over
+  // the transient and one steady iteration that the walk repeats), folded
+  // into the blame report and replayed per parameter for the what-if
+  // table. Only when requested — the traced sweep is scalar-only and the
+  // fast paths stay untouched otherwise.
   if (opts.critical_path) {
     const core::SweepTrace sweep = predictor.predict_traced(d, iterations);
     result.critical = true;
@@ -143,14 +144,6 @@ ProfileResult run_profile(const exp::Workload& w, const ProfileOptions& opts,
     registry.gauge("sensitivity_max_crosscheck_s")
         .set(result.sensitivity.max_replay_vs_brute_s);
   }
-
-  // Objective cache: evaluate the profiled distribution twice so the cache
-  // counters are meaningful even without a search pass (one miss, one hit).
-  const search::CachingObjective cached(
-      search::make_objective(predictor, iterations, arch.cluster), 4096,
-      &registry);
-  (void)cached(d);
-  (void)cached(d);
 
   if (!opts.search.empty()) {
     // The search scores candidates through the lane-batched objective —
@@ -208,15 +201,12 @@ ProfileResult run_profile(const exp::Workload& w, const ProfileOptions& opts,
     }
   }
 
-  result.objective_cache_hit_rate = cached.hit_rate();
   const core::Predictor::PlanCacheStats ps = predictor.plan_cache_stats();
   result.plan_cache_hit_rate =
       ps.hits + ps.misses > 0
           ? static_cast<double>(ps.hits) /
                 static_cast<double>(ps.hits + ps.misses)
           : 0;
-  registry.gauge("objective_cache_hit_rate")
-      .set(result.objective_cache_hit_rate);
   registry.gauge("plan_cache_hit_rate").set(result.plan_cache_hit_rate);
 
   // Artifacts. Metrics exports go last so they snapshot everything above.

@@ -7,8 +7,8 @@
 //   - the prediction-error attribution report comparing the two,
 //   - a Perfetto/Chrome trace of the run,
 //   - an ASCII Gantt chart,
-//   - a metrics snapshot (objective/plan cache hit rates, per-node CPU and
-//     disk utilization, shared-network utilization, simulator event count),
+//   - a metrics snapshot (plan cache hit rate, per-node CPU and disk
+//     utilization, shared-network utilization, simulator event count),
 //   - optionally a search-convergence series when a search algorithm is
 //     requested.
 // All artifacts are written under `out_dir` (created if missing); the
@@ -58,8 +58,7 @@ struct ProfileOptions {
 struct ProfileResult {
   AttributionReport report;
 
-  // Cache effectiveness (also exported as gauges).
-  double objective_cache_hit_rate = 0;
+  // Plan-cache effectiveness (also exported as a gauge).
   double plan_cache_hit_rate = 0;
 
   // Resource utilization over the full simulated run, in [0, 1].

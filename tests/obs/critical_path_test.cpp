@@ -1,8 +1,10 @@
 // Blame and what-if sensitivity reports (obs/critical_path.hpp). The pinned
-// identities of ISSUE 9: residency percentages sum to 100% within 1e-9 and
-// the path's seconds reproduce predict()'s total within 1e-9, on all four
-// Table-1 architectures; every sensitivity replay agrees with brute-force
-// re-prediction within 1e-9.
+// identities of the blame report: residency percentages sum to 100% within
+// 1e-9 and the path's seconds reproduce predict()'s total within 1e-9, on
+// all four Table-1 architectures, at a short run and at the workload's own
+// iteration count (where the steady iteration repeats 98 times); the
+// headline itself is predict()'s total bit for bit. Every sensitivity
+// replay agrees with brute-force re-prediction within 1e-9.
 #include "obs/critical_path.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +12,7 @@
 #include <cmath>
 #include <sstream>
 #include <string>
+#include <tuple>
 
 #include "cluster/suite.hpp"
 #include "exp/experiment.hpp"
@@ -34,10 +37,26 @@ Env make_env(const char* workload, const char* arch_name,
                iterations};
 }
 
-class BlameIdentities : public ::testing::TestWithParam<const char*> {};
+// Cell keys: communication (send, recv_wait, collective) lands at section
+// level (stage -1) and stage runs charge only their own terms; cells tied
+// on seconds stay in key order (rank, section, stage, term).
+void expect_cell_keys(const BlameReport& blame) {
+  constexpr int kFirstCommTerm = 4;  // send, then recv_wait and collective
+  ASSERT_STREQ(core::cost_term_name(kFirstCommTerm), "send");
+  for (const BlameCell& c : blame.cells)
+    EXPECT_EQ(c.stage_id == -1, c.term >= kFirstCommTerm)
+        << core::cost_term_name(c.term) << " at stage " << c.stage_id;
+  for (std::size_t i = 1; i < blame.cells.size(); ++i) {
+    const BlameCell& a = blame.cells[i - 1];
+    const BlameCell& b = blame.cells[i];
+    if (a.seconds == b.seconds) {
+      EXPECT_LT(std::tie(a.rank, a.section_id, a.stage_id, a.term),
+                std::tie(b.rank, b.section_id, b.stage_id, b.term));
+    }
+  }
+}
 
-TEST_P(BlameIdentities, PctSumsTo100AndSecondsReproducePredict) {
-  const Env s = make_env("jacobi", GetParam());
+void expect_blame_identities(const Env& s) {
   const core::SweepTrace trace =
       s.predictor.predict_traced(s.d, s.iterations);
   const BlameReport blame = build_blame(s.predictor, trace);
@@ -47,11 +66,12 @@ TEST_P(BlameIdentities, PctSumsTo100AndSecondsReproducePredict) {
   for (const BlameCell& c : blame.cells) pct_sum += c.pct;
   EXPECT_NEAR(pct_sum, 100.0, 1e-9);
 
-  // Identity 2: the path's seconds reproduce the headline prediction.
+  // Identity 2: the path's seconds reproduce the headline prediction, which
+  // is predict()'s total bit for bit.
   const double reference =
       s.predictor.predict(s.d, s.iterations).total_s;
   EXPECT_NEAR(blame.path_seconds, blame.total_s, 1e-9);
-  EXPECT_NEAR(blame.total_s, reference, 1e-9);
+  EXPECT_EQ(blame.total_s, reference);
   EXPECT_NEAR(blame.path_seconds, reference, 1e-9);
 
   // Per-term totals are an exact repartition of the same seconds.
@@ -63,14 +83,36 @@ TEST_P(BlameIdentities, PctSumsTo100AndSecondsReproducePredict) {
   for (std::size_t i = 1; i < blame.cells.size(); ++i)
     EXPECT_GE(blame.cells[i - 1].seconds, blame.cells[i].seconds);
   for (const BlameCell& c : blame.cells) EXPECT_GT(c.seconds, 0.0);
+  expect_cell_keys(blame);
 
-  // The per-iteration slices repartition the path seconds once more.
+  // The per-iteration slices repartition the path seconds once more, one
+  // slice per real iteration, ending in order at the headline.
   double iter_sum = 0;
   for (const auto& terms : blame.iteration_term_s)
     for (const double t : terms) iter_sum += t;
   EXPECT_NEAR(iter_sum, blame.path_seconds, 1e-9);
-  EXPECT_EQ(static_cast<int>(blame.iteration_end_s.size()),
+  ASSERT_EQ(static_cast<int>(blame.iteration_end_s.size()),
             s.iterations);
+  for (std::size_t it = 1; it < blame.iteration_end_s.size(); ++it)
+    EXPECT_GT(blame.iteration_end_s[it], blame.iteration_end_s[it - 1]);
+  EXPECT_EQ(blame.iteration_end_s.back(), reference);
+}
+
+class BlameIdentities : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(BlameIdentities, PctSumsTo100AndSecondsReproducePredict) {
+  expect_blame_identities(make_env("jacobi", GetParam()));
+}
+
+TEST_P(BlameIdentities, HoldOverEveryRepeatAtTheWorkloadsOwnK) {
+  const auto w = exp::workload_by_name("jacobi");
+  ASSERT_TRUE(w.has_value());
+  ASSERT_EQ(w->iterations, 100);
+  const Env s = make_env("jacobi", GetParam(), w->iterations);
+  // Two recorded iterations (the transient and the steady one) stand for
+  // all 100: the steady iteration repeats 98 times.
+  EXPECT_EQ(s.predictor.predict_traced(s.d, s.iterations).steady_repeats, 98);
+  expect_blame_identities(s);
 }
 
 INSTANTIATE_TEST_SUITE_P(Table1Architectures, BlameIdentities,
@@ -92,6 +134,7 @@ TEST(BlameReport, CoversPipelineAndCollectiveWorkloads) {
     EXPECT_NEAR(blame.path_seconds,
                 s.predictor.predict(s.d, s.iterations).total_s, 1e-9)
         << workload;
+    expect_cell_keys(blame);
   }
 }
 

@@ -13,7 +13,7 @@
 //   critical_path_trace.json Perfetto counter tracks of the same
 //   incumbent_blame.json     blame of the search's best distribution
 //                     (with --critical-path and --search)
-//   metrics.json      metrics snapshot (cache hit rates, utilizations, ...)
+//   metrics.json      metrics snapshot (plan cache hit rate, utilizations, ...)
 //   metrics.prom      the same snapshot, Prometheus text format
 //
 // Usage: mheta-profile [options] <input>
@@ -144,9 +144,7 @@ int main(int argc, char** argv) {
       obs::write_attribution_json(std::cout, result.report);
     } else {
       obs::write_attribution_text(std::cout, result.report);
-      std::cout << "\nobjective cache hit rate "
-                << result.objective_cache_hit_rate
-                << "   plan cache hit rate " << result.plan_cache_hit_rate
+      std::cout << "\nplan cache hit rate " << result.plan_cache_hit_rate
                 << "   network utilization " << result.network_utilization
                 << '\n';
       if (result.searched) {
