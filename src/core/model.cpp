@@ -116,23 +116,21 @@ Predictor::Predictor(ProgramStructure structure,
   intern_tables();
 }
 
-double Predictor::o_s(int rank) const {
-  return params_.nodes[static_cast<std::size_t>(rank)].send_overhead_s;
-}
-
-double Predictor::o_r(int rank) const {
-  return params_.nodes[static_cast<std::size_t>(rank)].recv_overhead_s;
-}
-
 void Predictor::intern_tables() {
   const int n = params_.node_count();
   const auto& sections = structure_.sections;
   const auto& arrays = structure_.arrays;
 
   instrumented_counts_.resize(static_cast<std::size_t>(n));
-  for (int r = 0; r < n; ++r)
+  send_overhead_s_.resize(static_cast<std::size_t>(n));
+  recv_overhead_s_.resize(static_cast<std::size_t>(n));
+  for (int r = 0; r < n; ++r) {
+    const auto& node = params_.nodes[static_cast<std::size_t>(r)];
     instrumented_counts_[static_cast<std::size_t>(r)] =
         params_.instrumented_dist.count(r);
+    send_overhead_s_[static_cast<std::size_t>(r)] = node.send_overhead_s;
+    recv_overhead_s_[static_cast<std::size_t>(r)] = node.recv_overhead_s;
+  }
 
   section_stage_offset_.clear();
   int total = 0;
@@ -265,10 +263,11 @@ void Predictor::intern_tables() {
     if (options_.metrics != nullptr) {
       plan_cache_->hit_counter = &options_.metrics->counter(
           "predictor_plan_cache_hits_total",
-          "per-(memory, rows) OOC-plan LRU hits");
+          "ranks served a memoized per-(memory, rows) OOC plan: by the LRU, "
+          "or by their key's plan built earlier in the same prediction");
       plan_cache_->miss_counter = &options_.metrics->counter(
           "predictor_plan_cache_misses_total",
-          "per-(memory, rows) OOC-plan LRU misses");
+          "per-(memory, rows) OOC plans built on an LRU miss");
     }
   }
 }
@@ -301,19 +300,81 @@ Predictor::StageCosts Predictor::interned_stage(int rank, int section_index,
   return out;
 }
 
-std::vector<std::shared_ptr<const ooc::NodePlan>> Predictor::plans_for(
-    const dist::GenBlock& d) const {
+Predictor::PlanGroups Predictor::plans_for(const dist::GenBlock& d) const {
   const int n = d.nodes();
-  // The model's memory plans: same planner as the runtime, but blind to the
-  // runtime's buffer overhead (limitation 2).
-  std::vector<std::shared_ptr<const ooc::NodePlan>> plans;
-  plans.reserve(static_cast<std::size_t>(n));
-  for (int r = 0; r < n; ++r) plans.push_back(plan_for_rank(r, d.count(r)));
-  return plans;
+
+  // Group ranks by (memory, rows): an open-addressing table of group ids,
+  // so grouping stays O(n) however many distinct keys a candidate has. A
+  // group's key is read back from its first rank.
+  std::size_t capacity = 16;
+  int shift = 60;  // 64 - log2(capacity)
+  while (capacity < 2 * static_cast<std::size_t>(n)) {
+    capacity <<= 1;
+    --shift;
+  }
+  static thread_local std::vector<int> table;
+  static thread_local std::vector<int> group_of;  // per rank
+  static thread_local std::vector<int> first;     // per group: first rank
+  table.assign(capacity, -1);
+  group_of.resize(static_cast<std::size_t>(n));
+  first.clear();
+  for (int r = 0; r < n; ++r) {
+    const std::int64_t memory = memory_bytes_[static_cast<std::size_t>(r)];
+    const std::int64_t rows = d.count(r);
+    // Fibonacci hashing: the top bits of the scrambled key pick the slot.
+    std::size_t h = static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(PlanCache::KeyHash{}({memory, rows})) *
+         0x9E3779B97F4A7C15ull) >>
+        shift);
+    int g = table[h];
+    while (g >= 0) {
+      const int f = first[static_cast<std::size_t>(g)];
+      if (memory_bytes_[static_cast<std::size_t>(f)] == memory &&
+          d.count(f) == rows)
+        break;
+      h = (h + 1) & (capacity - 1);
+      g = table[h];
+    }
+    if (g < 0) {
+      g = static_cast<int>(first.size());
+      table[h] = g;
+      first.push_back(r);
+    }
+    group_of[static_cast<std::size_t>(r)] = g;
+  }
+
+  // Members group by group, ranks ascending (a counting sort).
+  PlanGroups out;
+  out.groups.resize(first.size());
+  for (std::size_t g = 0; g < first.size(); ++g)
+    out.groups[g].rows = d.count(first[g]);
+  for (const int g : group_of) ++out.groups[static_cast<std::size_t>(g)].end;
+  int offset = 0;
+  for (PlanGroup& g : out.groups) {
+    g.begin = offset;
+    offset += g.end;
+    g.end = g.begin;  // the placement cursor until every rank is placed
+  }
+  out.members.resize(static_cast<std::size_t>(n));
+  for (int r = 0; r < n; ++r) {
+    const int g = group_of[static_cast<std::size_t>(r)];
+    PlanGroup& group = out.groups[static_cast<std::size_t>(g)];
+    out.members[static_cast<std::size_t>(group.end++)] = r;
+  }
+
+  // One plan lookup per group, through its first rank; the group's other
+  // ranks are served by that plan.
+  for (PlanGroup& g : out.groups)
+    g.plan = plan_for_rank(out.members[static_cast<std::size_t>(g.begin)],
+                           g.rows,
+                           static_cast<std::uint64_t>(g.end - g.begin - 1));
+  return out;
 }
 
 std::shared_ptr<const ooc::NodePlan> Predictor::plan_for_rank(
-    int rank, std::int64_t count) const {
+    int rank, std::int64_t count, std::uint64_t sharers) const {
+  // The model's memory plans: same planner as the runtime, but blind to the
+  // runtime's buffer overhead (limitation 2).
   ooc::PlannerOptions popts;
   popts.overhead_bytes = options_.planner_overhead_bytes;
   popts.max_blocks = options_.max_blocks;
@@ -326,8 +387,9 @@ std::shared_ptr<const ooc::NodePlan> Predictor::plan_for_rank(
   {
     std::lock_guard<std::mutex> lock(plan_cache_->mu);
     if (auto* hit = plan_cache_->cache.get(key)) {
-      ++plan_cache_->hits;
-      if (plan_cache_->hit_counter != nullptr) plan_cache_->hit_counter->inc();
+      plan_cache_->hits += 1 + sharers;
+      if (plan_cache_->hit_counter != nullptr)
+        plan_cache_->hit_counter->inc(1 + sharers);
       return *hit;
     }
   }
@@ -337,33 +399,65 @@ std::shared_ptr<const ooc::NodePlan> Predictor::plan_for_rank(
       ooc::plan_node(structure_.arrays, count, memory, popts));
   std::lock_guard<std::mutex> lock(plan_cache_->mu);
   ++plan_cache_->misses;
+  plan_cache_->hits += sharers;
   if (plan_cache_->miss_counter != nullptr) plan_cache_->miss_counter->inc();
+  if (plan_cache_->hit_counter != nullptr && sharers > 0)
+    plan_cache_->hit_counter->inc(sharers);
   plan_cache_->cache.put(key, plan);
   return plan;
 }
 
+void Predictor::layout_stage(int flat_stage, const ooc::NodePlan& plan,
+                             std::int64_t rows, ooc::StageIoLayout& io) const {
+  // The model never forces I/O and, per limitation 2, its plan ignored the
+  // runtime's buffer overhead.
+  const auto& ridx = stage_read_idx_[static_cast<std::size_t>(flat_stage)];
+  const auto& widx = stage_write_idx_[static_cast<std::size_t>(flat_stage)];
+  ooc::stage_io_layout_into(io, plan, ridx.data(), ridx.size(), widx.data(),
+                            widx.size(), 0, rows, /*force_io=*/false);
+}
+
+void Predictor::layout_section(int section_index, std::int64_t count,
+                               const ooc::NodePlan& plan,
+                               SectionLayouts& out) const {
+  const SectionSpec& section =
+      structure_.sections[static_cast<std::size_t>(section_index)];
+  const std::int64_t tiles =
+      section.pattern == CommPattern::kPipeline ? section.tiles : 1;
+  // Tile j has (j+1)c/T - jc/T rows: floor(c/T) or, with a remainder,
+  // one more.
+  out.length[0] = count / tiles;
+  out.length[1] = out.length[0] + (count % tiles != 0 ? 1 : 0);
+  const std::size_t stages = section.stages.size();
+  if (out.io.size() < 2 * stages) out.io.resize(2 * stages);
+  for (std::size_t g = 0; g < stages; ++g) {
+    const int flat = flat_stage_index(section_index, static_cast<int>(g));
+    layout_stage(flat, plan, out.length[0], out.io[2 * g]);
+    if (out.length[1] != out.length[0])
+      layout_stage(flat, plan, out.length[1], out.io[2 * g + 1]);
+  }
+}
+
 Predictor::NodeSectionTime Predictor::stage_time(
     int rank, const SectionSpec& section, const ooc::StageDef& stage,
-    int flat_stage, const StageCosts& ist, const ooc::NodePlan& plan,
-    std::int64_t begin_row, std::int64_t end_row, double work_scale,
-    CostTerms* terms) const {
+    const StageCosts& ist, const ooc::StageIoLayout& io,
+    const ooc::NodePlan& plan, double work_scale, CostTerms* terms) const {
   return terms != nullptr
-             ? stage_time_impl<true>(rank, section, stage, flat_stage, ist,
-                                     plan, begin_row, end_row, work_scale,
-                                     terms)
-             : stage_time_impl<false>(rank, section, stage, flat_stage, ist,
-                                      plan, begin_row, end_row, work_scale,
-                                      nullptr);
+             ? stage_time_impl<true>(rank, section, stage, ist, io, plan,
+                                     work_scale, terms)
+             : stage_time_impl<false>(rank, section, stage, ist, io, plan,
+                                      work_scale, nullptr);
 }
 
 template <bool WithTerms>
 Predictor::NodeSectionTime Predictor::stage_time_impl(
     int rank, const SectionSpec& section, const ooc::StageDef& stage,
-    int flat_stage, const StageCosts& ist, const ooc::NodePlan& plan,
-    std::int64_t begin_row, std::int64_t end_row, double work_scale,
+    const StageCosts& ist, const ooc::StageIoLayout& io,
+    const ooc::NodePlan& plan, double work_scale,
     [[maybe_unused]] CostTerms* terms) const {
   NodeSectionTime out;
-  const std::int64_t range = std::max<std::int64_t>(0, end_row - begin_row);
+  const std::int64_t range =
+      std::max<std::int64_t>(0, io.end_row - io.begin_row);
   if (range == 0) return out;
 
   const auto& node = params_.nodes[static_cast<std::size_t>(rank)];
@@ -376,24 +470,15 @@ Predictor::NodeSectionTime Predictor::stage_time_impl(
   MHETA_CHECK_MSG(w_instr > 0,
                   "instrumented run assigned no rows to node " << rank);
 
-  // T_c' = T_c * W'/W, applied to the slice [begin, end) of this tile and
-  // scaled for non-uniform iterations.
+  // T_c' = T_c * W'/W, applied to the rows of this tile and scaled for
+  // non-uniform iterations.
   const double tc = work_scale * ist.compute_s * static_cast<double>(range) /
                     static_cast<double>(w_instr);
   out.compute_s = tc;
 
   // I/O: mirror the runtime's blocked streaming (Eq. 1/2, evaluated
-  // block-exactly). The model never forces I/O and, per limitation 2, its
-  // plan ignored the runtime's buffer overhead. The layout comes from the
-  // pre-resolved variable indices (no per-call name scans), into a
-  // thread-local scratch so the hot path performs no allocations.
-  static thread_local ooc::StageIoLayout io;
-  const auto& ridx = stage_read_idx_[static_cast<std::size_t>(flat_stage)];
-  const auto& widx = stage_write_idx_[static_cast<std::size_t>(flat_stage)];
-  ooc::stage_io_layout_into(io, plan, ridx.data(), ridx.size(), widx.data(),
-                            widx.size(), begin_row, end_row,
-                            /*force_io=*/false);
-
+  // block-exactly) over the layout's blocks.
+  //
   // An ArrayPlan's position in the plan equals its index in
   // ProgramStructure::arrays, which is how the interned SoA latency tables
   // are addressed — no string hashing in this loop.
@@ -501,9 +586,15 @@ void Predictor::build_rank_section(int rank, int section_index,
                                    std::int64_t count,
                                    const ooc::NodePlan& plan, double scale,
                                    double* stage_s, double* compute_s,
-                                   double* io_s, CostTerms* terms) const {
+                                   double* io_s, CostTerms* terms,
+                                   const SectionLayouts* layouts) const {
   const SectionSpec& section =
       structure_.sections[static_cast<std::size_t>(section_index)];
+  if (layouts == nullptr) {
+    static thread_local SectionLayouts local;
+    layout_section(section_index, count, plan, local);
+    layouts = &local;
+  }
   const int tiles =
       section.pattern == CommPattern::kPipeline ? section.tiles : 1;
   const int stages = static_cast<int>(section.stages.size());
@@ -511,17 +602,37 @@ void Predictor::build_rank_section(int rank, int section_index,
   // tile; the [tile][stage] output indexing is unchanged.
   for (int g = 0; g < stages; ++g) {
     const ooc::StageDef& stage = section.stages[static_cast<std::size_t>(g)];
-    const int flat = flat_stage_index(section_index, g);
     const StageCosts ist = interned_stage(rank, section_index, g);
+    // A stage time depends on the tile's length, not its offset, and the
+    // tiles have at most two lengths: evaluate the first tile of each
+    // length and copy it to the others.
+    std::size_t first[2] = {SIZE_MAX, SIZE_MAX};
     for (int j = 0; j < tiles; ++j) {
       const std::int64_t begin = tiles == 1 ? 0 : j * count / tiles;
       const std::int64_t end = tiles == 1 ? count : (j + 1) * count / tiles;
+      const int k = end - begin == layouts->length[0] ? 0 : 1;
       const std::size_t idx = static_cast<std::size_t>(j) *
                                   static_cast<std::size_t>(stages) +
                               static_cast<std::size_t>(g);
-      const NodeSectionTime st =
-          stage_time(rank, section, stage, flat, ist, plan, begin, end, scale,
-                     terms != nullptr ? terms + idx : nullptr);
+      const std::size_t src = first[k];
+      if (src != SIZE_MAX) {
+        stage_s[idx] = stage_s[src];
+        compute_s[idx] = compute_s[src];
+        io_s[idx] = io_s[src];
+        if (terms != nullptr) terms[idx] = terms[src];
+        continue;
+      }
+      first[k] = idx;
+      CostTerms* slot_terms = nullptr;
+      if (terms != nullptr) {
+        terms[idx] = CostTerms{};
+        slot_terms = terms + idx;
+      }
+      const NodeSectionTime st = stage_time(
+          rank, section, stage, ist,
+          layouts->io[2 * static_cast<std::size_t>(g) +
+                      static_cast<std::size_t>(k)],
+          plan, scale, slot_terms);
       stage_s[idx] = st.stage_s;
       compute_s[idx] = st.compute_s;
       io_s[idx] = st.io_s;
@@ -582,41 +693,79 @@ std::vector<Predictor::StageTableView> Predictor::stage_table_view() const {
   return out;
 }
 
-void Predictor::build_iteration_cache(
-    const dist::GenBlock& d,
-    const std::vector<std::shared_ptr<const ooc::NodePlan>>& plans,
-    double scale, IterationCache& cache, bool with_terms) const {
-  const int n = d.nodes();
+void Predictor::build_iteration_cache(const dist::GenBlock& d,
+                                      const PlanGroups& plans, double scale,
+                                      IterationCache& cache,
+                                      bool with_terms) const {
+  const std::size_t n = static_cast<std::size_t>(d.nodes());
   const auto& sections = structure_.sections;
   cache.sections.resize(sections.size());
   if (with_terms) cache.terms.resize(sections.size());
+  static thread_local SectionLayouts layouts;
   for (std::size_t si = 0; si < sections.size(); ++si) {
     const SectionSpec& section = sections[si];
     const int tiles =
         section.pattern == CommPattern::kPipeline ? section.tiles : 1;
     const std::size_t per_rank = static_cast<std::size_t>(tiles) *
                                  section.stages.size();
+    // build_rank_section writes every slot, so nothing needs clearing.
     auto& slot = cache.sections[si];
-    slot.assign(static_cast<std::size_t>(n) * per_rank);
-    if (with_terms) cache.terms[si].assign(slot.stage_s.size(), {});
-    for (int r = 0; r < n; ++r) {
-      const std::size_t seg = static_cast<std::size_t>(r) * per_rank;
-      build_rank_section(r, static_cast<int>(si), d.count(r),
-                         *plans[static_cast<std::size_t>(r)], scale,
-                         slot.stage_s.data() + seg, slot.compute_s.data() + seg,
-                         slot.io_s.data() + seg,
-                         with_terms ? cache.terms[si].data() + seg : nullptr);
+    slot.stage_s.resize(n * per_rank);
+    slot.compute_s.resize(n * per_rank);
+    slot.io_s.resize(n * per_rank);
+    if (with_terms) cache.terms[si].resize(n * per_rank);
+    // Lay the section out once per plan group, then fill its ranks.
+    for (const PlanGroup& g : plans.groups) {
+      layout_section(static_cast<int>(si), g.rows, *g.plan, layouts);
+      for (int m = g.begin; m < g.end; ++m) {
+        const int r = plans.members[static_cast<std::size_t>(m)];
+        const std::size_t seg = static_cast<std::size_t>(r) * per_rank;
+        build_rank_section(
+            r, static_cast<int>(si), g.rows, *g.plan, scale,
+            slot.stage_s.data() + seg, slot.compute_s.data() + seg,
+            slot.io_s.data() + seg,
+            with_terms ? cache.terms[si].data() + seg : nullptr, &layouts);
+      }
     }
   }
   cache.scale = scale;
   cache.valid = true;
 }
 
+Predictor::IterationAgg Predictor::iteration_agg(
+    int n, const IterationCache& cache) const {
+  IterationAgg agg;
+  const std::size_t nr = static_cast<std::size_t>(n);
+  for (std::size_t si = 0; si < structure_.sections.size(); ++si) {
+    const SectionSpec& section = structure_.sections[si];
+    const std::size_t stages = section.stages.size();
+    const double* cs = cache.sections[si].compute_s.data();
+    const double* ios = cache.sections[si].io_s.data();
+    if (section.pattern == CommPattern::kPipeline) {
+      const std::size_t tiles = static_cast<std::size_t>(section.tiles);
+      for (std::size_t j = 0; j < tiles; ++j) {
+        for (std::size_t r = 0; r < nr; ++r) {
+          const std::size_t base = (r * tiles + j) * stages;
+          for (std::size_t g = 0; g < stages; ++g) {
+            agg.compute_s += cs[base + g];
+            agg.io_s += ios[base + g];
+          }
+        }
+      }
+    } else {
+      for (std::size_t i = 0; i < nr * stages; ++i) {
+        agg.compute_s += cs[i];
+        agg.io_s += ios[i];
+      }
+    }
+  }
+  return agg;
+}
+
 void Predictor::apply_section(int section_index, const IterationCache& cache,
                               std::vector<double>& t,
                               std::vector<double>& arrivals,
-                              IterationAgg& agg, Attribution* attr,
-                              std::vector<double>* coll_a,
+                              Attribution* attr, std::vector<double>* coll_a,
                               std::vector<double>* coll_b) const {
   const SectionSpec& section =
       structure_.sections[static_cast<std::size_t>(section_index)];
@@ -637,55 +786,54 @@ void Predictor::apply_section(int section_index, const IterationCache& cache,
 
   if (section.pattern == CommPattern::kPipeline) {
     // Eq. 4 generalized to an n-node chain: tile j of node i starts after
-    // its own tile j-1 and after node i-1's tile-j boundary arrives. The
-    // scratch slot of rank r is always written (by r at tile j) before rank
-    // r+1 reads it, so it needs no clearing between sections.
-    const int tiles = section.tiles;
-    if (static_cast<int>(arrivals.size()) < n)
-      arrivals.resize(static_cast<std::size_t>(n));
-    for (int j = 0; j < tiles; ++j) {
-      for (int r = 0; r < n; ++r) {
-        auto& tr = t[static_cast<std::size_t>(r)];
+    // its own tile j-1 and after node i-1's tile-j boundary arrives. Those
+    // two values are all it reads, so the chain runs rank-outer: rank r
+    // consumes arrivals[j] from rank r-1 and then overwrites it with its
+    // own tile-j arrival for rank r+1. Each rank performs the same
+    // operations on the same operands as in tile order, but consecutive
+    // ranks' chains can overlap instead of forming one n * tiles chain.
+    // Every slot is written (by rank r-1) before rank r reads it, so the
+    // scratch needs no clearing between sections.
+    const std::size_t tiles = static_cast<std::size_t>(section.tiles);
+    if (arrivals.size() < tiles) arrivals.resize(tiles);
+    const std::size_t row = tiles * static_cast<std::size_t>(stages);
+    for (int r = 0; r < n; ++r) {
+      double tr = t[static_cast<std::size_t>(r)];
+      const double orr = o_r(r);
+      const double os = o_s(r);
+      const double wire = ic.pipeline_transfer_s[static_cast<std::size_t>(r)];
+      const std::size_t rank_base = static_cast<std::size_t>(r) * row;
+      for (std::size_t j = 0; j < tiles; ++j) {
         if (r > 0) {
           const double before = tr;
-          tr = std::max(tr, arrivals[static_cast<std::size_t>(r - 1)]) + o_r(r);
+          tr = std::max(tr, arrivals[j]) + orr;
           if (at != nullptr) at[r].recv_wait_s += tr - before;
         }
         const std::size_t base_idx =
-            (static_cast<std::size_t>(r) * static_cast<std::size_t>(tiles) +
-             static_cast<std::size_t>(j)) *
-            static_cast<std::size_t>(stages);
+            rank_base + j * static_cast<std::size_t>(stages);
         const double* ss = st.stage_s.data() + base_idx;
-        const double* cs = st.compute_s.data() + base_idx;
-        const double* ios = st.io_s.data() + base_idx;
         for (int g = 0; g < stages; ++g) {
           tr += ss[g];
-          agg.compute_s += cs[g];
-          agg.io_s += ios[g];
           if (at != nullptr) at[r] += ct[base_idx + static_cast<std::size_t>(g)];
         }
         if (r < n - 1) {
-          tr += o_s(r);
-          if (at != nullptr) at[r].send_s += o_s(r);
-          arrivals[static_cast<std::size_t>(r)] =
-              tr + ic.pipeline_transfer_s[static_cast<std::size_t>(r)];
+          tr += os;
+          if (at != nullptr) at[r].send_s += os;
+          arrivals[j] = tr + wire;
         }
       }
+      t[static_cast<std::size_t>(r)] = tr;
     }
   } else {
     // Stages over the whole local array; each rank's segment is a
-    // contiguous run of doubles per table, so these sums vectorize.
+    // contiguous run of doubles.
     for (int r = 0; r < n; ++r) {
       auto& tr = t[static_cast<std::size_t>(r)];
       const std::size_t base_idx =
           static_cast<std::size_t>(r) * static_cast<std::size_t>(stages);
       const double* ss = st.stage_s.data() + base_idx;
-      const double* cs = st.compute_s.data() + base_idx;
-      const double* ios = st.io_s.data() + base_idx;
       for (int g = 0; g < stages; ++g) {
         tr += ss[g];
-        agg.compute_s += cs[g];
-        agg.io_s += ios[g];
         if (at != nullptr) at[r] += ct[base_idx + static_cast<std::size_t>(g)];
       }
     }
@@ -748,24 +896,18 @@ void Predictor::apply_reduction(std::int64_t bytes, std::vector<double>& t,
   std::vector<double>& arrival = scratch_a != nullptr ? *scratch_a : local_a;
   arrival.assign(static_cast<std::size_t>(n), 0.0);
   for (int mask = 1; mask < n; mask <<= 1) {
-    // Senders at this level: lowest set bit == mask.
-    for (int r = 0; r < n; ++r) {
-      if ((r & mask) != 0 && (r & (mask - 1)) == 0) {
-        t[static_cast<std::size_t>(r)] += o_s(r);
-        arrival[static_cast<std::size_t>(r)] =
-            t[static_cast<std::size_t>(r)] + x;
-      }
+    // Senders at this level: lowest set bit == mask, i.e. the odd
+    // multiples of mask. Only they and the receivers are visited, so the
+    // whole tree costs O(n), not O(n log n).
+    for (int r = mask; r < n; r += 2 * mask) {
+      t[static_cast<std::size_t>(r)] += o_s(r);
+      arrival[static_cast<std::size_t>(r)] = t[static_cast<std::size_t>(r)] + x;
     }
-    // Receivers still active at this level.
-    for (int r = 0; r < n; ++r) {
-      if ((r & mask) == 0 && (r & (mask - 1)) == 0) {
-        const int partner = r | mask;
-        if (partner < n) {
-          auto& tr = t[static_cast<std::size_t>(r)];
-          tr = std::max(tr, arrival[static_cast<std::size_t>(partner)]) +
-               o_r(r);
-        }
-      }
+    // Receivers still active at this level: the even multiples of mask
+    // whose partner r + mask exists.
+    for (int r = 0; r + mask < n; r += 2 * mask) {
+      auto& tr = t[static_cast<std::size_t>(r)];
+      tr = std::max(tr, arrival[static_cast<std::size_t>(r + mask)]) + o_r(r);
     }
   }
 
@@ -886,8 +1028,12 @@ void Predictor::run_iterations(
   std::vector<double>& prev_off = s.prev_off;  // start-of-iteration offsets,
   bool prev_valid = false;                     // one behind
   std::vector<double>& last_end = s.last_end;  // pre-renormalization offsets
-  double last_m = 0;              // of the previous iteration, its renorm
-  IterationAgg last_agg;          // delta, and its diagnostic sums
+  double last_m = 0;  // of the previous iteration, and its renorm delta
+
+  // The diagnostic sums are a pure function of the stage table: computed
+  // once per (re)built or pre-assembled table, then added per iteration.
+  IterationAgg agg;
+  bool agg_valid = false;
 
   const std::size_t total = iteration_scales.size();
   std::size_t k = 0;
@@ -897,6 +1043,11 @@ void Predictor::run_iterations(
     if (!cache.valid || cache.scale != scale) {
       rebuild(scale, attr != nullptr);
       prev_valid = false;
+      agg_valid = false;
+    }
+    if (!agg_valid) {
+      agg = iteration_agg(n, cache);
+      agg_valid = true;
     }
 
     // Attributed runs take the plain per-iteration loop: the shortcut's
@@ -912,14 +1063,14 @@ void Predictor::run_iterations(
       const bool covers_final = end == total;
       const std::size_t full = (end - k) - (covers_final ? 1 : 0);
       for (std::size_t i = 0; i < full; ++i) {
-        pred.compute_s += last_agg.compute_s;
-        pred.io_s += last_agg.io_s;
+        pred.compute_s += agg.compute_s;
+        pred.io_s += agg.io_s;
         base += last_m;
       }
       k += full;
       if (covers_final) {
-        pred.compute_s += last_agg.compute_s;
-        pred.io_s += last_agg.io_s;
+        pred.compute_s += agg.compute_s;
+        pred.io_s += agg.io_s;
         off = last_end;  // the final iteration is not renormalized
         ++k;
       }
@@ -929,9 +1080,8 @@ void Predictor::run_iterations(
 
     // One full iteration.
     s.start.assign(off.begin(), off.end());
-    IterationAgg agg;
     for (std::size_t si = 0; si < structure_.sections.size(); ++si)
-      apply_section(static_cast<int>(si), cache, off, arrivals, agg, attr,
+      apply_section(static_cast<int>(si), cache, off, arrivals, attr,
                     &s.coll_a, &s.coll_b);
     pred.compute_s += agg.compute_s;
     pred.io_s += agg.io_s;
@@ -944,7 +1094,6 @@ void Predictor::run_iterations(
     base += m;
     for (auto& o : off) o -= m;
     last_m = m;
-    last_agg = agg;
     std::swap(prev_off, s.start);
     prev_valid = true;
   }
@@ -986,6 +1135,7 @@ Prediction Predictor::predict2d(const dist::Dist2D& d,
   const auto& grid = d.grid();
   Prediction pred;
   std::vector<double> t(static_cast<std::size_t>(n), 0.0);
+  ooc::StageIoLayout io;
   for (int it = 0; it < iterations; ++it) {
     for (std::size_t si = 0; si < structure_.sections.size(); ++si) {
       const auto& section = structure_.sections[si];
@@ -997,12 +1147,15 @@ Prediction Predictor::predict2d(const dist::Dist2D& d,
         const double frac_instr = instrumented.width_fraction(r);
         MHETA_CHECK(frac_instr > 0);
         const double work_scale = d.width_fraction(r) / frac_instr;
+        const ooc::NodePlan& plan = plans[static_cast<std::size_t>(r)];
         for (std::size_t g = 0; g < section.stages.size(); ++g) {
+          layout_stage(
+              flat_stage_index(static_cast<int>(si), static_cast<int>(g)),
+              plan, d.rows(r), io);
           const auto st = stage_time(
               r, section, section.stages[g],
-              flat_stage_index(static_cast<int>(si), static_cast<int>(g)),
               interned_stage(r, static_cast<int>(si), static_cast<int>(g)),
-              plans[static_cast<std::size_t>(r)], 0, d.rows(r), work_scale);
+              io, plan, work_scale);
           t[static_cast<std::size_t>(r)] += st.stage_s;
           pred.compute_s += st.compute_s;
           pred.io_s += st.io_s;

@@ -24,8 +24,15 @@
 // loop does no map lookups; per-(memory, rows) memory plans are memoized
 // in an LRU; and repeated uniform iterations collapse through a steady-state
 // shortcut once the per-node clock offsets reach a bitwise fixed point.
-// All knobs live in ModelOptions; disabling them reproduces the naive
-// per-iteration loop bit for bit (the fast-path tests enforce this).
+// Within one call, work that ranks share is done once: ranks with equal
+// (memory, rows) form a group with one plan lookup and one set of stage
+// I/O layouts, and equal-length tiles share one stage evaluation. The
+// clock sweep follows its data dependencies: diagnostic sums are taken
+// once per stage table, pipelines run rank-outer, and the reduction tree
+// visits only its active ranks. All knobs live in ModelOptions; disabling
+// them reproduces the naive per-iteration loop bit for bit (the fast-path
+// tests enforce this, and tests/core/golden_bits_test.cpp pins the bits
+// themselves).
 //
 // Deliberate blind spots, matching the paper's limitations (§5.4): no
 // memory-hierarchy model, a simplistic in-core/out-of-core heuristic (the
@@ -44,6 +51,7 @@
 #include "instrument/params.hpp"
 #include "obs/registry.hpp"
 #include "ooc/planner.hpp"
+#include "ooc/stage.hpp"
 
 namespace mheta::core {
 
@@ -69,15 +77,17 @@ struct ModelOptions {
   bool steady_state_shortcut = true;
 
   /// LRU entries for memoized per-(memory, rows) memory plans; 0 disables
-  /// plan caching entirely. Sized above the unique (memory, rows) working
-  /// set of a population search (a few thousand keys); below that the LRU
-  /// degenerates to 0% hits under sequential re-access and every path pays
-  /// plan construction per row.
+  /// plan caching entirely, and every call then builds one plan per
+  /// distinct (memory, rows) key among its ranks. Sized above the unique
+  /// (memory, rows) working set of a population search (a few thousand
+  /// keys); below that the LRU degenerates to 0% hits under sequential
+  /// re-access and every call pays plan construction per key.
   std::size_t plan_cache_capacity = 8192;
 
   /// Optional metrics sink (not owned; must outlive the Predictor). When
-  /// set, the plan cache reports `predictor_plan_cache_{hits,misses}_total`;
-  /// when null — the default — the hot path pays nothing.
+  /// set, the plan cache reports `predictor_plan_cache_{hits,misses}_total`
+  /// (see PlanCacheStats); when null — the default — the hot path pays
+  /// nothing.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -180,7 +190,11 @@ class Predictor {
   /// perturb_params(params(), p) — the sensitivity tests pin this.
   Predictor perturbed(const Perturbation& p) const;
 
-  /// Plan-LRU effectiveness counters (zero when caching is disabled).
+  /// Plan-LRU effectiveness counters (zero when caching is disabled). A
+  /// prediction counts one per rank: each distinct (memory, rows) key it
+  /// plans is one miss, and every other rank is a hit, served by the LRU or
+  /// by its key's plan built earlier in the same call. Single-row builds
+  /// (the delta and lane evaluators) count one per row.
   struct PlanCacheStats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
@@ -239,6 +253,7 @@ class Predictor {
 
   /// Per-iteration diagnostic sums, accumulated into Prediction once per
   /// iteration (keeps the steady-state replay bit-identical to the loop).
+  /// A pure function of the stage table (see iteration_agg).
   struct IterationAgg {
     double compute_s = 0;
     double io_s = 0;
@@ -315,30 +330,43 @@ class Predictor {
   StageCosts interned_stage(int rank, int section_index,
                             int stage_index) const;
 
-  /// Time for one stage over local rows [begin,end) on node `rank`;
-  /// `work_scale` multiplies the computation (non-uniform iterations).
-  /// When `terms` is non-null the stage cost is additionally split into
-  /// compute / read / write / prefetch-wait such that the parts sum to
-  /// stage_s (attributed runs only; the hot path passes nullptr).
-  /// `flat_stage` addresses the interned per-stage tables (see
-  /// flat_stage_index); it selects the pre-resolved variable indices so the
-  /// per-call I/O layout never re-scans variable names.
+  /// The I/O blocking of a stage over `rows` rows under `plan`, from the
+  /// stage's pre-resolved variable indices (no name scans). Rows start at
+  /// 0: stage times depend on block lengths only, never on offsets.
+  void layout_stage(int flat_stage, const ooc::NodePlan& plan,
+                    std::int64_t rows, ooc::StageIoLayout& io) const;
+
+  /// One section's stage layouts at the tile lengths of `count` rows. A
+  /// section's tiles have at most two lengths, floor and ceil of
+  /// count / tiles, so `io` holds stages x 2 layouts ([stage * 2 + k] for
+  /// length[k]). Shared by every rank with the same plan and count.
+  struct SectionLayouts {
+    std::int64_t length[2] = {0, 0};
+    std::vector<ooc::StageIoLayout> io;
+  };
+  void layout_section(int section_index, std::int64_t count,
+                      const ooc::NodePlan& plan, SectionLayouts& out) const;
+
+  /// Time for one stage over the rows of `io` (a layout of `plan`) on node
+  /// `rank`; `work_scale` multiplies the computation (non-uniform
+  /// iterations). When `terms` is non-null the stage cost is additionally
+  /// split into compute / read / write / prefetch-wait such that the parts
+  /// sum to stage_s (attributed runs only; the hot path passes nullptr).
   NodeSectionTime stage_time(int rank, const SectionSpec& section,
-                             const ooc::StageDef& stage, int flat_stage,
-                             const StageCosts& ist,
-                             const ooc::NodePlan& plan, std::int64_t begin_row,
-                             std::int64_t end_row, double work_scale,
+                             const ooc::StageDef& stage, const StageCosts& ist,
+                             const ooc::StageIoLayout& io,
+                             const ooc::NodePlan& plan, double work_scale,
                              CostTerms* terms = nullptr) const;
 
   /// The two compiled variants behind stage_time: WithTerms=false is the
   /// hot instantiation, with every attribution store folded away.
   template <bool WithTerms>
   NodeSectionTime stage_time_impl(int rank, const SectionSpec& section,
-                                  const ooc::StageDef& stage, int flat_stage,
+                                  const ooc::StageDef& stage,
                                   const StageCosts& ist,
-                                  const ooc::NodePlan& plan,
-                                  std::int64_t begin_row, std::int64_t end_row,
-                                  double work_scale, CostTerms* terms) const;
+                                  const ooc::StageIoLayout& io,
+                                  const ooc::NodePlan& plan, double work_scale,
+                                  CostTerms* terms) const;
 
   /// Rank-independent flat index of (section, stage) into the interned
   /// per-stage tables.
@@ -347,38 +375,66 @@ class Predictor {
            stage_index;
   }
 
-  /// Memoized (or freshly computed) per-rank plans for `d`.
-  std::vector<std::shared_ptr<const ooc::NodePlan>> plans_for(
-      const dist::GenBlock& d) const;
+  /// The plans of one call: ranks with equal (memory, rows) form a group,
+  /// and the call holds one plan per group. `members` lists the ranks
+  /// group by group, ranks ascending; a group owns members[begin, end).
+  struct PlanGroup {
+    std::shared_ptr<const ooc::NodePlan> plan;
+    std::int64_t rows = 0;
+    int begin = 0;
+    int end = 0;
+  };
+  struct PlanGroups {
+    std::vector<PlanGroup> groups;
+    std::vector<int> members;
+  };
+
+  /// Groups the ranks of `d` by (memory, rows) in O(n) and looks each
+  /// group's plan up once through plan_for_rank, so the plan counters see
+  /// one hit or miss per rank (PlanCacheStats).
+  PlanGroups plans_for(const dist::GenBlock& d) const;
 
   /// Memoized (or freshly computed) plan for one node owning `count` rows.
-  std::shared_ptr<const ooc::NodePlan> plan_for_rank(int rank,
-                                                     std::int64_t count) const;
+  /// `sharers` other ranks of the same (memory, rows) are served by the
+  /// returned plan without a lookup of their own; each counts as a hit.
+  std::shared_ptr<const ooc::NodePlan> plan_for_rank(
+      int rank, std::int64_t count, std::uint64_t sharers = 0) const;
 
   /// All stage times of `rank` for one section at `count` local rows,
   /// written into the rank's contiguous [tile][stage] segment of the three
-  /// SoA output arrays (each sized tiles * stages). Single source of truth
-  /// for the per-slot values: build_iteration_cache and the incremental
-  /// evaluator's row cache both fill through it, so a cached row is
-  /// bit-identical to a freshly built one.
+  /// SoA output arrays (each sized tiles * stages), and each slot's term
+  /// split into `terms` when non-null. Single source of truth for the
+  /// per-slot values: build_iteration_cache, predict_traced and the delta
+  /// and lane row caches all fill through it, so a cached row is
+  /// bit-identical to a freshly built one. Each (stage, tile length) is
+  /// evaluated once and copied to the other tiles of that length. `layouts`
+  /// are the section's layouts for `plan` and `count` (layout_section);
+  /// null lays out the section here (single-row builds).
   void build_rank_section(int rank, int section_index, std::int64_t count,
                           const ooc::NodePlan& plan, double scale,
                           double* stage_s, double* compute_s, double* io_s,
-                          CostTerms* terms) const;
+                          CostTerms* terms,
+                          const SectionLayouts* layouts = nullptr) const;
 
   /// Fills `cache` with every section/rank/tile/stage time for one
   /// iteration at `scale`; per-slot terms too when `with_terms` is set.
-  void build_iteration_cache(
-      const dist::GenBlock& d,
-      const std::vector<std::shared_ptr<const ooc::NodePlan>>& plans,
-      double scale, IterationCache& cache, bool with_terms = false) const;
+  /// Each section is laid out once per plan group and then filled rank by
+  /// rank through build_rank_section.
+  void build_iteration_cache(const dist::GenBlock& d, const PlanGroups& plans,
+                             double scale, IterationCache& cache,
+                             bool with_terms = false) const;
+
+  /// The diagnostic sums of one iteration over `cache`. The summation
+  /// order is part of the result's bits: sections in order, pipelines
+  /// tile-outer (tile, rank, stage), other sections (rank, stage).
+  IterationAgg iteration_agg(int n, const IterationCache& cache) const;
 
   /// Advances per-node clocks through one section using cached stage times.
   /// When `attr` is non-null every clock advance is also attributed to a
   /// cost term in attr->terms[section_index].
   void apply_section(int section_index, const IterationCache& cache,
                      std::vector<double>& t, std::vector<double>& arrivals,
-                     IterationAgg& agg, Attribution* attr = nullptr,
+                     Attribution* attr = nullptr,
                      std::vector<double>* coll_a = nullptr,
                      std::vector<double>* coll_b = nullptr) const;
 
@@ -426,8 +482,12 @@ class Predictor {
   void apply_alltoall(std::int64_t bytes_per_pair, std::vector<double>& t,
                       std::vector<double>* scratch = nullptr) const;
 
-  double o_s(int rank) const;
-  double o_r(int rank) const;
+  double o_s(int rank) const {
+    return send_overhead_s_[static_cast<std::size_t>(rank)];
+  }
+  double o_r(int rank) const {
+    return recv_overhead_s_[static_cast<std::size_t>(rank)];
+  }
 
   ProgramStructure structure_;
   instrument::MhetaParams params_;
@@ -451,6 +511,8 @@ class Predictor {
   std::vector<std::vector<int>> stage_write_idx_;  // same indexing
   std::vector<InternedSectionComm> comm_interned_;  // per section
   std::vector<std::int64_t> instrumented_counts_;   // per rank
+  std::vector<double> send_overhead_s_;             // per rank: o_s
+  std::vector<double> recv_overhead_s_;             // per rank: o_r
 
   // Memoized per-(memory, rows) plans; shared (and locked) so copies of the
   // Predictor share one cache and predict() stays const and thread-safe.

@@ -61,16 +61,17 @@ struct StageIoLayout {
 
 /// Computes the blocking of `stage` over local rows [begin_row, end_row).
 /// With `force_io` (the instrumented iteration) every variable is streamed
-/// through disk, even in-core ones.
+/// through disk, even in-core ones. Resolves the stage's variable names
+/// through NodePlan::array and delegates to stage_io_layout_into, the one
+/// blocking implementation.
 StageIoLayout stage_io_layout(const NodePlan& plan, const StageDef& stage,
                               std::int64_t begin_row, std::int64_t end_row,
                               bool force_io);
 
-/// Index-based variant for hot callers: `read_idx` / `write_idx` are
-/// positions in `plan.arrays` (resolved from the stage's variable names
+/// Index-based form for hot callers (the model): `read_idx` / `write_idx`
+/// are positions in `plan.arrays` (resolved from the stage's variable names
 /// once, outside the loop), and `io`'s vectors are reused instead of
-/// reallocated. Produces exactly the layout stage_io_layout would for a
-/// stage with those variables.
+/// reallocated.
 void stage_io_layout_into(StageIoLayout& io, const NodePlan& plan,
                           const int* read_idx, std::size_t num_reads,
                           const int* write_idx, std::size_t num_writes,
