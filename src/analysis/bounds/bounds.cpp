@@ -19,7 +19,8 @@ double lower_widened(double x) {
 
 /// Per-rank unconditional o_s/o_r add counts through one allreduce
 /// (binomial reduce to rank 0 + binomial broadcast), mirroring
-/// Predictor::apply_reduction's schedule. Pure function of n.
+/// the reduce + broadcast schedule of the model's clock walk
+/// (Predictor::reduce_broadcast, core/walk.hpp). Pure function of n.
 void reduction_add_counts(int n, std::vector<int>& os_count,
                           std::vector<int>& or_count) {
   if (n <= 1) return;

@@ -151,7 +151,9 @@ class CostBoundsAnalyzer {
   TotalBounds sweep(const std::vector<RankCells>& rows, int iterations) const;
 
   /// One section's interval recurrence (pipeline / nearest-neighbor /
-  /// collectives), mirroring Predictor::apply_section over Interval clocks.
+  /// collectives), mirroring the model's clock walk (Predictor::walk_section,
+  /// core/walk.hpp) over Interval clocks. Derived independently of it, which
+  /// is what makes the analyzer an oracle.
   void interval_section(int section_index, const std::vector<RankCells>& rows,
                         std::vector<Interval>& t,
                         std::vector<Interval>& arrivals) const;

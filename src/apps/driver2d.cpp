@@ -58,6 +58,7 @@ sim::Process rank_iterations_2d(mpi::World& w, ooc::OocRuntime& rt,
     for (const auto& section : program.sections) {
       MHETA_CHECK_MSG(section.pattern != core::CommPattern::kPipeline,
                       "pipelined sections are 1-D only");
+      MHETA_CHECK_MSG(!section.has_alltoall, "total exchanges are 1-D only");
       w.section_begin(rank, section.id);
       for (const auto& stage : section.stages) {
         co_await rt.run_stage(rank, stage, frac);

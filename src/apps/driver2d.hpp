@@ -4,7 +4,8 @@
 // tile of every array. Stages stream the tile's rows (whose width is the
 // rank's column block); nearest-neighbor sections exchange row halos with
 // the north/south grid neighbors and column halos with east/west.
-// Pipelined sections are a 1-D concept and are rejected here.
+// Pipelined sections and total exchanges are 1-D concepts and are rejected
+// here.
 #pragma once
 
 #include "apps/driver.hpp"

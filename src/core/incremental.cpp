@@ -4,52 +4,28 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <mutex>
-#include <unordered_map>
 #include <utility>
 
+#include "core/walk.hpp"
 #include "util/check.hpp"
 #include "util/free_list.hpp"
 
 namespace mheta::core {
 
-/// One rank's stage times over every section/tile/stage, in the flat row
-/// layout (see section_offset_). Pure in (rank, rows), so rows are reused
-/// across candidate distributions.
-struct IncrementalEvaluator::NodeRow {
-  std::vector<double> stage_s;
-  std::vector<double> compute_s;
-  std::vector<double> io_s;
-};
-
-namespace {
-
-struct KeyHash {
-  std::size_t operator()(const std::pair<int, std::int64_t>& k) const {
-    std::uint64_t h = 0x9E3779B97F4A7C15ull ^ static_cast<std::uint64_t>(k.first);
-    h ^= static_cast<std::uint64_t>(k.second) + 0x9E3779B97F4A7C15ull +
-         (h << 6) + (h >> 2);
-    return static_cast<std::size_t>(h);
-  }
-};
-
-}  // namespace
-
 /// Everything one call needs to evaluate candidates without touching shared
 /// state: a row cache plus all evaluation scratch. Checked out of the
 /// evaluator's free list for the length of a call.
 struct IncrementalEvaluator::Cache {
-  std::unordered_map<std::pair<int, std::int64_t>, NodeRow, KeyHash> rows;
-  Predictor::IterationCache cache;
-  Predictor::IterScratch iter;
-  std::vector<double> scales;
+  RowCache rows;  // full rows (stage, compute, io) per (rank, rows)
+  std::vector<const double*> row_ptr;  // per rank, into `rows`
+  ClockState clocks;
   Prediction pred;
-  // The candidate the iteration cache (and pred) currently describe; empty
-  // until the first delta evaluation completes. Lets the assembly pass skip
-  // every rank whose row count is unchanged since the previous candidate —
-  // the O(changed-nodes) step — and lets an exact repeat skip the clock
-  // loop as well.
+  // The candidate row_ptr (and pred) currently describe; empty until the
+  // first delta evaluation completes, and after a row-cache reset. Lets the
+  // assembly pass skip every rank whose row count is unchanged since the
+  // previous candidate — the O(changed-nodes) step — and lets an exact
+  // repeat skip the clock loop as well.
   std::vector<std::int64_t> last_counts;
   int last_iterations = 0;
 };
@@ -88,17 +64,6 @@ IncrementalEvaluator::IncrementalEvaluator(const Predictor& predictor,
     : predictor_(&predictor),
       options_(options),
       state_(std::make_shared<State>()) {
-  const auto& sections = predictor.structure().sections;
-  section_offset_.reserve(sections.size());
-  section_len_.reserve(sections.size());
-  for (const auto& section : sections) {
-    const int tiles =
-        section.pattern == CommPattern::kPipeline ? section.tiles : 1;
-    section_offset_.push_back(row_len_);
-    section_len_.push_back(static_cast<std::size_t>(tiles) *
-                           section.stages.size());
-    row_len_ += section_len_.back();
-  }
   if (options_.metrics != nullptr) {
     auto& m = *options_.metrics;
     state_->eval_counter = &m.counter(
@@ -139,25 +104,23 @@ const Prediction& IncrementalEvaluator::evaluate_impl(const dist::GenBlock& d,
   }
 
   const int n = d.nodes();
-  const std::size_t nsections = section_len_.size();
+  const std::size_t len = predictor_->row_len_;
 
   using Clock = std::chrono::steady_clock;
   Clock::time_point t0;
   if (options_.time_components) t0 = Clock::now();
 
-  // Assemble the iteration cache from the per-(rank, rows) row cache. The
-  // previous candidate's rows are still in place, so only ranks whose row
-  // count changed are touched at all — O(changed nodes); each such rank
-  // costs a hash lookup plus three memcpys per section (its segment is
-  // contiguous in both layouts). Everything else is clock propagation.
+  // Point each rank at its per-(rank, rows) row. The previous candidate's
+  // pointers are still in place, so only ranks whose row count changed are
+  // touched at all — O(changed nodes), a hash probe each. A full cache is
+  // reset here, before any pointer into it is taken, and every rank is then
+  // resolved afresh. Everything else is clock propagation.
   std::uint64_t reused = 0;
   std::uint64_t computed = 0;
-  if (tc.cache.sections.size() != nsections) {
-    tc.cache.sections.resize(nsections);
-    for (std::size_t si = 0; si < nsections; ++si)
-      tc.cache.sections[si].assign(static_cast<std::size_t>(n) *
-                                   section_len_[si]);
-  }
+  if (tc.rows.prepare(options_.row_cache_capacity,
+                      static_cast<std::size_t>(n), 3 * len))
+    tc.last_counts.clear();
+  tc.row_ptr.resize(static_cast<std::size_t>(n));
   const bool assembled =
       tc.last_counts.size() == static_cast<std::size_t>(n);
   if (assembled && tc.last_iterations == iterations &&
@@ -172,48 +135,20 @@ const Prediction& IncrementalEvaluator::evaluate_impl(const dist::GenBlock& d,
     return tc.pred;
   }
   for (int r = 0; r < n; ++r) {
-    if (assembled && tc.last_counts[static_cast<std::size_t>(r)] ==
-                         d.count(r)) {
+    const std::int64_t rows = d.count(r);
+    if (assembled && tc.last_counts[static_cast<std::size_t>(r)] == rows) {
       ++reused;
       continue;
     }
-    const std::pair<int, std::int64_t> key{r, d.count(r)};
-    auto it = tc.rows.find(key);
-    if (it == tc.rows.end()) {
-      if (tc.rows.size() >= options_.row_cache_capacity) tc.rows.clear();
-      NodeRow& row = tc.rows[key];
-      row.stage_s.resize(row_len_);
-      row.compute_s.resize(row_len_);
-      row.io_s.resize(row_len_);
-      const auto plan = predictor_->plan_for_rank(r, key.second);
-      for (std::size_t si = 0; si < nsections; ++si) {
-        const std::size_t off = section_offset_[si];
-        predictor_->build_rank_section(
-            r, static_cast<int>(si), key.second, *plan, /*scale=*/1.0,
-            row.stage_s.data() + off, row.compute_s.data() + off,
-            row.io_s.data() + off, nullptr);
-      }
-      it = tc.rows.find(key);
-      ++computed;
-    } else {
-      ++reused;
-    }
-    const NodeRow& row = it->second;
-    for (std::size_t si = 0; si < nsections; ++si) {
-      const std::size_t len = section_len_[si];
-      const std::size_t off = section_offset_[si];
-      const std::size_t seg = static_cast<std::size_t>(r) * len;
-      auto& slot = tc.cache.sections[si];
-      std::memcpy(slot.stage_s.data() + seg, row.stage_s.data() + off,
-                  len * sizeof(double));
-      std::memcpy(slot.compute_s.data() + seg, row.compute_s.data() + off,
-                  len * sizeof(double));
-      std::memcpy(slot.io_s.data() + seg, row.io_s.data() + off,
-                  len * sizeof(double));
-    }
+    bool built = false;
+    tc.row_ptr[static_cast<std::size_t>(r)] = tc.rows.resolve(
+        r, rows,
+        [&](double* row) {
+          predictor_->build_row(r, rows, row, row + len, row + 2 * len);
+        },
+        built);
+    ++(built ? computed : reused);
   }
-  tc.cache.scale = 1.0;
-  tc.cache.valid = true;
   if (reused > 0) {
     st.rows_reused.fetch_add(reused, std::memory_order_relaxed);
     if (st.reused_counter != nullptr) st.reused_counter->inc(reused);
@@ -233,14 +168,11 @@ const Prediction& IncrementalEvaluator::evaluate_impl(const dist::GenBlock& d,
         std::memory_order_relaxed);
   }
 
-  if (tc.scales.size() != static_cast<std::size_t>(iterations))
-    tc.scales.assign(static_cast<std::size_t>(iterations), 1.0);
-  predictor_->run_iterations(
-      n, tc.scales, nullptr, tc.cache,
-      [](double, bool) {
-        MHETA_CHECK_MSG(false, "delta iteration cache must cover scale 1.0");
-      },
-      tc.pred, &tc.iter);
+  Predictor::ScalarClock clock(*predictor_, n, tc.row_ptr.data(), tc.clocks,
+                               tc.pred);
+  predictor_->drive(clock, predictor_->comm_interned_,
+                    static_cast<std::size_t>(iterations), nullptr);
+  clock.finish();
   if (options_.time_components) {
     st.loop_ns.fetch_add(
         static_cast<std::uint64_t>(
@@ -288,7 +220,7 @@ const Prediction& IncrementalEvaluator::evaluate_impl(const dist::GenBlock& d,
 }
 
 // A call that throws drops its cache instead of giving it back, so a
-// half-assembled iteration cache is never diffed against.
+// half-assembled set of row pointers is never diffed against.
 Prediction IncrementalEvaluator::evaluate(const dist::GenBlock& d,
                                           int iterations) {
   std::unique_ptr<Cache> cache = state_->caches.take();

@@ -8,28 +8,29 @@
 // Predictor::predict recomputes per candidate, all but the two affected
 // ranks' rows are unchanged.
 //
-// IncrementalEvaluator exploits that: it memoizes each rank's full stage-time
-// row (every section/tile/stage, as the same SoA tables the Predictor's
-// iteration cache uses) keyed by (rank, rows), assembles the iteration cache
-// for a candidate by copying the cached rows, and reuses the Predictor's own
-// clock-propagation loop for the globally coupled terms (send/recv waits,
-// pipeline arrival chains, collectives — cheap adds and maxes over the
-// per-node clocks). Because the rows are filled by the same
-// Predictor::build_rank_section the full path uses and the loop is the same
+// IncrementalEvaluator exploits that: it memoizes each rank's full row
+// (every section/tile/stage in the Predictor's flat row layout, with the
+// compute/io splits) keyed by (rank, rows), points the scalar clock at the
+// cached row of each rank, and runs the Predictor's own clock walk
+// (walk.hpp) for the globally coupled terms (send/recv waits, pipeline
+// arrival chains, collectives — cheap adds and maxes over the per-node
+// clocks). Because the rows are filled by the same
+// Predictor::build_rank_section the full path uses and the walk is the same
 // code, a delta evaluation is bit-identical to Predictor::predict — which the
 // optional cross-check mode verifies every N evaluations, falling back to
 // full evaluation permanently if drift above the tolerance is ever observed
 // (it cannot be, by construction, but the oracle is cheap insurance).
 //
-// Hot-path design: rows, iteration-cache scratch and the clock loop's
-// vectors live in caches the evaluator owns. Each call checks one out of a
-// LIFO free list and gives it back, so a single-threaded caller always gets
-// the cache it used last (and the O(changed-nodes) diff still applies),
-// while concurrent callers each hold their own for the length of a call.
-// Apart from that checkout an evaluation takes no locks and (steady-state)
-// performs no allocations; statistics are relaxed atomics. The caches are
-// freed with the evaluator. Safe to call concurrently — callers at worst
-// recompute the same pure row for their own cache.
+// Hot-path design: rows, row pointers and the clock state live in caches the
+// evaluator owns. Each call checks one out of a LIFO free list and gives it
+// back, so a single-threaded caller always gets the cache it used last (and
+// the O(changed-nodes) diff still applies: only ranks whose row count
+// changed are repointed), while concurrent callers each hold their own for
+// the length of a call. Apart from that checkout an evaluation takes no
+// locks and (steady-state) performs no allocations; statistics are relaxed
+// atomics. The caches are freed with the evaluator. Safe to call
+// concurrently — callers at worst recompute the same pure row for their own
+// cache.
 #pragma once
 
 #include <cstdint>
@@ -64,9 +65,10 @@ struct DeltaOptions {
   bool enabled = true;
 
   /// Entries per cache for memoized per-(rank, rows) stage-time rows; a
-  /// cache is cleared wholesale when it would exceed this (rows are pure,
-  /// so dropping them only costs recomputation). A search's working set is
-  /// a few (rank, rows) pairs per move, so the default never clears in
+  /// cache that holds this many is cleared wholesale before the next
+  /// evaluation, which then resolves every rank afresh (rows are pure, so
+  /// dropping them only costs recomputation). A search's working set is a
+  /// few (rank, rows) pairs per move, so the default never clears in
   /// practice.
   std::size_t row_cache_capacity = 4096;
 
@@ -110,7 +112,6 @@ class IncrementalEvaluator {
   const Options& options() const { return options_; }
 
  private:
-  struct NodeRow;  // one rank's stage times over all sections, SoA
   struct Cache;    // rows + evaluation scratch, checked out per call
   struct State;    // shared stats + the free list of caches
 
@@ -120,11 +121,6 @@ class IncrementalEvaluator {
 
   const Predictor* predictor_;
   Options options_;
-  // Flat row layout: section si occupies [section_offset_[si],
-  // section_offset_[si] + section_len_[si]) of each NodeRow table.
-  std::vector<std::size_t> section_offset_;
-  std::vector<std::size_t> section_len_;
-  std::size_t row_len_ = 0;
   std::shared_ptr<State> state_;
 };
 

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <deque>
-#include <map>
+#include <functional>
 #include <mutex>
 
 #include "analysis/lint.hpp"
+#include "core/walk.hpp"
 #include "ooc/stage.hpp"
 #include "util/check.hpp"
 #include "util/lru.hpp"
@@ -200,11 +199,11 @@ void Predictor::intern_tables() {
   // Per-section communication, with transfer times precomputed and every
   // recv resolved to its FIFO-matched send slot.
   comm_interned_.assign(sections.size(), {});
+  std::vector<int> peers;
   for (std::size_t si = 0; si < sections.size(); ++si) {
     auto& ic = comm_interned_[si];
     ic.sends.resize(static_cast<std::size_t>(n));
     ic.recvs.resize(static_cast<std::size_t>(n));
-    ic.send_offset.resize(static_cast<std::size_t>(n));
     ic.pipeline_transfer_s.assign(static_cast<std::size_t>(n), 0.0);
     for (int r = 0; r < n; ++r) {
       const auto& comm = params_.nodes[static_cast<std::size_t>(r)].comm;
@@ -223,39 +222,28 @@ void Predictor::intern_tables() {
       ic.pipeline_transfer_s[static_cast<std::size_t>(r)] =
           params_.network.transfer_s(pipeline_bytes);
     }
-    int flat = 0;
-    for (int r = 0; r < n; ++r) {
-      ic.send_offset[static_cast<std::size_t>(r)] = flat;
-      flat += static_cast<int>(ic.sends[static_cast<std::size_t>(r)].size());
-    }
-    ic.total_sends = flat;
+    ic.number_sends();
     for (int r = 0; r < n && ic.matched; ++r) {
       const auto& comm = params_.nodes[static_cast<std::size_t>(r)].comm;
       const auto it = comm.find(sections[si].id);
       if (it == comm.end()) continue;
-      std::vector<int> consumed(static_cast<std::size_t>(n), 0);
-      for (const auto& m : it->second.recvs) {
-        if (m.peer < 0 || m.peer >= n) {
-          ic.matched = false;
-          break;
-        }
-        const auto& peer_sends = ic.sends[static_cast<std::size_t>(m.peer)];
-        int want = consumed[static_cast<std::size_t>(m.peer)]++;
-        int slot = -1;
-        for (std::size_t k = 0; k < peer_sends.size(); ++k) {
-          if (peer_sends[k].peer == r && want-- == 0) {
-            slot = ic.send_offset[static_cast<std::size_t>(m.peer)] +
-                   static_cast<int>(k);
-            break;
-          }
-        }
-        if (slot < 0) {
-          ic.matched = false;
-          break;
-        }
-        ic.recvs[static_cast<std::size_t>(r)].push_back({m.peer, slot});
-      }
+      peers.clear();
+      for (const auto& m : it->second.recvs) peers.push_back(m.peer);
+      ic.match_recvs(r, peers);
     }
+  }
+
+  // The flat row layout every clock reads stage times through.
+  row_offset_.clear();
+  row_span_.clear();
+  row_len_ = 0;
+  for (const auto& section : sections) {
+    const int tiles =
+        section.pattern == CommPattern::kPipeline ? section.tiles : 1;
+    row_offset_.push_back(row_len_);
+    row_span_.push_back(static_cast<std::size_t>(tiles) *
+                        section.stages.size());
+    row_len_ += row_span_.back();
   }
 
   if (options_.plan_cache_capacity > 0) {
@@ -269,6 +257,42 @@ void Predictor::intern_tables() {
           "predictor_plan_cache_misses_total",
           "per-(memory, rows) OOC plans built on an LRU miss");
     }
+  }
+}
+
+void Predictor::InternedSectionComm::number_sends() {
+  send_offset.resize(sends.size());
+  int flat = 0;
+  for (std::size_t r = 0; r < sends.size(); ++r) {
+    send_offset[r] = flat;
+    flat += static_cast<int>(sends[r].size());
+  }
+  total_sends = flat;
+}
+
+void Predictor::InternedSectionComm::match_recvs(int r,
+                                                 const std::vector<int>& peers) {
+  const int n = static_cast<int>(sends.size());
+  std::vector<int> consumed(static_cast<std::size_t>(n), 0);
+  for (const int peer : peers) {
+    if (peer < 0 || peer >= n) {
+      matched = false;
+      return;
+    }
+    const auto& peer_sends = sends[static_cast<std::size_t>(peer)];
+    int want = consumed[static_cast<std::size_t>(peer)]++;
+    int slot = -1;
+    for (std::size_t k = 0; k < peer_sends.size(); ++k) {
+      if (peer_sends[k].peer == r && want-- == 0) {
+        slot = send_offset[static_cast<std::size_t>(peer)] + static_cast<int>(k);
+        break;
+      }
+    }
+    if (slot < 0) {
+      matched = false;
+      return;
+    }
+    recvs[static_cast<std::size_t>(r)].push_back({peer, slot});
   }
 }
 
@@ -693,417 +717,113 @@ std::vector<Predictor::StageTableView> Predictor::stage_table_view() const {
   return out;
 }
 
-void Predictor::build_iteration_cache(const dist::GenBlock& d,
-                                      const PlanGroups& plans, double scale,
-                                      IterationCache& cache,
-                                      bool with_terms) const {
+void Predictor::build_row(int rank, std::int64_t count, double* stage_s,
+                          double* compute_s, double* io_s) const {
+  const auto plan = plan_for_rank(rank, count);
+  for (std::size_t si = 0; si < structure_.sections.size(); ++si) {
+    const std::size_t off = row_offset_[si];
+    build_rank_section(rank, static_cast<int>(si), count, *plan,
+                       /*scale=*/1.0, stage_s + off, compute_s + off,
+                       io_s + off, nullptr);
+  }
+}
+
+Predictor::FullRows Predictor::full_rows(int n) const {
+  const std::size_t stride = 3 * row_len_;
+  FullRows out;
+  out.data = std::make_unique_for_overwrite<double[]>(
+      static_cast<std::size_t>(n) * stride);
+  out.ptr.resize(static_cast<std::size_t>(n));
+  for (int r = 0; r < n; ++r)
+    out.ptr[static_cast<std::size_t>(r)] =
+        out.data.get() + static_cast<std::size_t>(r) * stride;
+  return out;
+}
+
+void Predictor::build_rows(const dist::GenBlock& d, const PlanGroups& plans,
+                           double scale, double* rows,
+                           std::vector<std::vector<CostTerms>>* terms) const {
   const std::size_t n = static_cast<std::size_t>(d.nodes());
-  const auto& sections = structure_.sections;
-  cache.sections.resize(sections.size());
-  if (with_terms) cache.terms.resize(sections.size());
+  const std::size_t stride = 3 * row_len_;
+  if (terms != nullptr) {
+    terms->resize(structure_.sections.size());
+    for (std::size_t si = 0; si < terms->size(); ++si)
+      (*terms)[si].resize(n * row_span_[si]);
+  }
   static thread_local SectionLayouts layouts;
-  for (std::size_t si = 0; si < sections.size(); ++si) {
-    const SectionSpec& section = sections[si];
-    const int tiles =
-        section.pattern == CommPattern::kPipeline ? section.tiles : 1;
-    const std::size_t per_rank = static_cast<std::size_t>(tiles) *
-                                 section.stages.size();
+  for (std::size_t si = 0; si < structure_.sections.size(); ++si) {
+    // Lay the section out once per plan group, then fill its ranks;
     // build_rank_section writes every slot, so nothing needs clearing.
-    auto& slot = cache.sections[si];
-    slot.stage_s.resize(n * per_rank);
-    slot.compute_s.resize(n * per_rank);
-    slot.io_s.resize(n * per_rank);
-    if (with_terms) cache.terms[si].resize(n * per_rank);
-    // Lay the section out once per plan group, then fill its ranks.
     for (const PlanGroup& g : plans.groups) {
       layout_section(static_cast<int>(si), g.rows, *g.plan, layouts);
       for (int m = g.begin; m < g.end; ++m) {
         const int r = plans.members[static_cast<std::size_t>(m)];
-        const std::size_t seg = static_cast<std::size_t>(r) * per_rank;
+        double* row = rows + static_cast<std::size_t>(r) * stride + row_offset_[si];
         build_rank_section(
-            r, static_cast<int>(si), g.rows, *g.plan, scale,
-            slot.stage_s.data() + seg, slot.compute_s.data() + seg,
-            slot.io_s.data() + seg,
-            with_terms ? cache.terms[si].data() + seg : nullptr, &layouts);
+            r, static_cast<int>(si), g.rows, *g.plan, scale, row,
+            row + row_len_, row + 2 * row_len_,
+            terms != nullptr ? (*terms)[si].data() +
+                                   static_cast<std::size_t>(r) * row_span_[si]
+                             : nullptr,
+            &layouts);
       }
     }
   }
-  cache.scale = scale;
-  cache.valid = true;
 }
 
 Predictor::IterationAgg Predictor::iteration_agg(
-    int n, const IterationCache& cache) const {
+    int n, const double* const* rows) const {
   IterationAgg agg;
-  const std::size_t nr = static_cast<std::size_t>(n);
+  const std::size_t cs = row_len_;
+  const std::size_t ios = 2 * row_len_;
   for (std::size_t si = 0; si < structure_.sections.size(); ++si) {
     const SectionSpec& section = structure_.sections[si];
     const std::size_t stages = section.stages.size();
-    const double* cs = cache.sections[si].compute_s.data();
-    const double* ios = cache.sections[si].io_s.data();
-    if (section.pattern == CommPattern::kPipeline) {
-      const std::size_t tiles = static_cast<std::size_t>(section.tiles);
-      for (std::size_t j = 0; j < tiles; ++j) {
-        for (std::size_t r = 0; r < nr; ++r) {
-          const std::size_t base = (r * tiles + j) * stages;
-          for (std::size_t g = 0; g < stages; ++g) {
-            agg.compute_s += cs[base + g];
-            agg.io_s += ios[base + g];
-          }
+    const std::size_t soff = row_offset_[si];
+    const std::size_t tiles =
+        section.pattern == CommPattern::kPipeline
+            ? static_cast<std::size_t>(section.tiles)
+            : 1;
+    for (std::size_t j = 0; j < tiles; ++j) {
+      for (int r = 0; r < n; ++r) {
+        const double* row = rows[r] + soff + j * stages;
+        for (std::size_t g = 0; g < stages; ++g) {
+          agg.compute_s += row[cs + g];
+          agg.io_s += row[ios + g];
         }
-      }
-    } else {
-      for (std::size_t i = 0; i < nr * stages; ++i) {
-        agg.compute_s += cs[i];
-        agg.io_s += ios[i];
       }
     }
   }
   return agg;
 }
 
-void Predictor::apply_section(int section_index, const IterationCache& cache,
-                              std::vector<double>& t,
-                              std::vector<double>& arrivals,
-                              Attribution* attr, std::vector<double>* coll_a,
-                              std::vector<double>* coll_b) const {
-  const SectionSpec& section =
-      structure_.sections[static_cast<std::size_t>(section_index)];
-  const int n = static_cast<int>(t.size());
-  const auto& st = cache.sections[static_cast<std::size_t>(section_index)];
-  const int stages = static_cast<int>(section.stages.size());
-  const auto& ic = comm_interned_[static_cast<std::size_t>(section_index)];
-
-  // Attribution sinks (attributed runs only; the hot path passes nullptr).
-  // `at[r]` accumulates this section's terms for rank r; `ct` mirrors `st`
-  // slot-for-slot with each stage's cost split.
-  CostTerms* at = nullptr;
-  const CostTerms* ct = nullptr;
-  if (attr != nullptr) {
-    at = attr->terms[static_cast<std::size_t>(section_index)].data();
-    ct = cache.terms[static_cast<std::size_t>(section_index)].data();
-  }
-
-  if (section.pattern == CommPattern::kPipeline) {
-    // Eq. 4 generalized to an n-node chain: tile j of node i starts after
-    // its own tile j-1 and after node i-1's tile-j boundary arrives. Those
-    // two values are all it reads, so the chain runs rank-outer: rank r
-    // consumes arrivals[j] from rank r-1 and then overwrites it with its
-    // own tile-j arrival for rank r+1. Each rank performs the same
-    // operations on the same operands as in tile order, but consecutive
-    // ranks' chains can overlap instead of forming one n * tiles chain.
-    // Every slot is written (by rank r-1) before rank r reads it, so the
-    // scratch needs no clearing between sections.
-    const std::size_t tiles = static_cast<std::size_t>(section.tiles);
-    if (arrivals.size() < tiles) arrivals.resize(tiles);
-    const std::size_t row = tiles * static_cast<std::size_t>(stages);
-    for (int r = 0; r < n; ++r) {
-      double tr = t[static_cast<std::size_t>(r)];
-      const double orr = o_r(r);
-      const double os = o_s(r);
-      const double wire = ic.pipeline_transfer_s[static_cast<std::size_t>(r)];
-      const std::size_t rank_base = static_cast<std::size_t>(r) * row;
-      for (std::size_t j = 0; j < tiles; ++j) {
-        if (r > 0) {
-          const double before = tr;
-          tr = std::max(tr, arrivals[j]) + orr;
-          if (at != nullptr) at[r].recv_wait_s += tr - before;
-        }
-        const std::size_t base_idx =
-            rank_base + j * static_cast<std::size_t>(stages);
-        const double* ss = st.stage_s.data() + base_idx;
-        for (int g = 0; g < stages; ++g) {
-          tr += ss[g];
-          if (at != nullptr) at[r] += ct[base_idx + static_cast<std::size_t>(g)];
-        }
-        if (r < n - 1) {
-          tr += os;
-          if (at != nullptr) at[r].send_s += os;
-          arrivals[j] = tr + wire;
-        }
-      }
-      t[static_cast<std::size_t>(r)] = tr;
-    }
-  } else {
-    // Stages over the whole local array; each rank's segment is a
-    // contiguous run of doubles.
-    for (int r = 0; r < n; ++r) {
-      auto& tr = t[static_cast<std::size_t>(r)];
-      const std::size_t base_idx =
-          static_cast<std::size_t>(r) * static_cast<std::size_t>(stages);
-      const double* ss = st.stage_s.data() + base_idx;
-      for (int g = 0; g < stages; ++g) {
-        tr += ss[g];
-        if (at != nullptr) at[r] += ct[base_idx + static_cast<std::size_t>(g)];
-      }
-    }
-    if (section.pattern == CommPattern::kNearestNeighbor) {
-      // Eq. 3 generalized: every node performs its recorded sends, then
-      // blocks on its recorded receives. The FIFO matching per (src, dst)
-      // pair was resolved at construction, so this is two flat passes.
-      MHETA_CHECK_MSG(ic.matched, "recv without matching send in model");
-      if (static_cast<int>(arrivals.size()) < ic.total_sends)
-        arrivals.resize(static_cast<std::size_t>(ic.total_sends));
-      for (int r = 0; r < n; ++r) {
-        auto& tr = t[static_cast<std::size_t>(r)];
-        const auto& sends = ic.sends[static_cast<std::size_t>(r)];
-        const int base = ic.send_offset[static_cast<std::size_t>(r)];
-        for (std::size_t k = 0; k < sends.size(); ++k) {
-          tr += o_s(r);
-          if (at != nullptr) at[r].send_s += o_s(r);
-          arrivals[static_cast<std::size_t>(base) + k] =
-              tr + sends[k].transfer_s;
-        }
-      }
-      for (int r = 0; r < n; ++r) {
-        auto& tr = t[static_cast<std::size_t>(r)];
-        for (const auto& rv : ic.recvs[static_cast<std::size_t>(r)]) {
-          const double before = tr;
-          tr = std::max(tr, arrivals[static_cast<std::size_t>(rv.send_slot)]) +
-               o_r(r);
-          if (at != nullptr) at[r].recv_wait_s += tr - before;
-        }
-      }
-    }
-  }
-
-  if (section.has_alltoall || section.has_reduction) {
-    // Collectives advance every clock internally; attribute each node's net
-    // advance through the tree/ring as one collective term.
-    std::vector<double> before;
-    if (at != nullptr) before = t;
-    if (section.has_alltoall)
-      apply_alltoall(section.alltoall_bytes_per_pair, t, coll_a);
-    if (section.has_reduction)
-      apply_reduction(section.reduce_bytes, t, coll_a, coll_b);
-    if (at != nullptr) {
-      for (int r = 0; r < n; ++r)
-        at[r].collective_s +=
-            t[static_cast<std::size_t>(r)] - before[static_cast<std::size_t>(r)];
-    }
-  }
-}
-
-void Predictor::apply_reduction(std::int64_t bytes, std::vector<double>& t,
-                                std::vector<double>* scratch_a,
-                                std::vector<double>* scratch_b) const {
-  const int n = static_cast<int>(t.size());
-  if (n <= 1) return;
-  const double x = params_.network.transfer_s(bytes);
-
-  // Reduce to rank 0 over the binomial tree (mirrors SimMPI::allreduce).
-  std::vector<double> local_a;
-  std::vector<double>& arrival = scratch_a != nullptr ? *scratch_a : local_a;
-  arrival.assign(static_cast<std::size_t>(n), 0.0);
-  for (int mask = 1; mask < n; mask <<= 1) {
-    // Senders at this level: lowest set bit == mask, i.e. the odd
-    // multiples of mask. Only they and the receivers are visited, so the
-    // whole tree costs O(n), not O(n log n).
-    for (int r = mask; r < n; r += 2 * mask) {
-      t[static_cast<std::size_t>(r)] += o_s(r);
-      arrival[static_cast<std::size_t>(r)] = t[static_cast<std::size_t>(r)] + x;
-    }
-    // Receivers still active at this level: the even multiples of mask
-    // whose partner r + mask exists.
-    for (int r = 0; r + mask < n; r += 2 * mask) {
-      auto& tr = t[static_cast<std::size_t>(r)];
-      tr = std::max(tr, arrival[static_cast<std::size_t>(r + mask)]) + o_r(r);
-    }
-  }
-
-  // Broadcast from rank 0 (mirrors the second phase of SimMPI::allreduce).
-  std::vector<double> local_b;
-  std::vector<double>& bcast_arrival =
-      scratch_b != nullptr ? *scratch_b : local_b;
-  bcast_arrival.assign(static_cast<std::size_t>(n), 0.0);
-  for (int r = 0; r < n; ++r) {
-    int entry;
-    if (r == 0) {
-      entry = 1;
-      while (entry < n) entry <<= 1;
-    } else {
-      auto& tr = t[static_cast<std::size_t>(r)];
-      tr = std::max(tr, bcast_arrival[static_cast<std::size_t>(r)]) + o_r(r);
-      entry = r & -r;  // lowest set bit
-    }
-    for (int m = entry >> 1; m >= 1; m >>= 1) {
-      if (r + m < n) {
-        t[static_cast<std::size_t>(r)] += o_s(r);
-        bcast_arrival[static_cast<std::size_t>(r + m)] =
-            t[static_cast<std::size_t>(r)] + x;
-      }
-    }
-  }
-}
-
-void Predictor::apply_alltoall(std::int64_t bytes_per_pair,
-                               std::vector<double>& t,
-                               std::vector<double>* scratch) const {
-  const int n = static_cast<int>(t.size());
-  if (n <= 1) return;
-  const double x = params_.network.transfer_s(bytes_per_pair);
-  // Ring-shifted pairwise exchange: at step s each rank sends to rank+s
-  // (paying o_s), then blocks receiving from rank-s (arrival + o_r). All of
-  // step s's sends depend only on progress through step s-1, so steps are
-  // evaluated in order with a send pass before the receive pass.
-  std::vector<double> local;
-  std::vector<double>& arrival = scratch != nullptr ? *scratch : local;
-  arrival.assign(static_cast<std::size_t>(n), 0.0);
-  for (int s = 1; s < n; ++s) {
-    for (int r = 0; r < n; ++r) {
-      auto& tr = t[static_cast<std::size_t>(r)];
-      tr += o_s(r);
-      arrival[static_cast<std::size_t>((r + s) % n)] = tr + x;
-    }
-    for (int r = 0; r < n; ++r) {
-      auto& tr = t[static_cast<std::size_t>(r)];
-      tr = std::max(tr, arrival[static_cast<std::size_t>(r)]) + o_r(r);
-    }
-  }
-}
-
 Prediction Predictor::predict(const dist::GenBlock& d, int iterations) const {
   MHETA_CHECK(iterations >= 1);
-  return predict_nonuniform(
-      d, std::vector<double>(static_cast<std::size_t>(iterations), 1.0));
+  return predict_scaled(d, static_cast<std::size_t>(iterations), nullptr);
 }
 
 Prediction Predictor::predict_nonuniform(
     const dist::GenBlock& d, const std::vector<double>& iteration_scales) const {
-  return predict_impl(d, iteration_scales, nullptr);
-}
-
-AttributedPrediction Predictor::predict_attributed(const dist::GenBlock& d,
-                                                   int iterations) const {
-  MHETA_CHECK(iterations >= 1);
-  Attribution attr;
-  AttributedPrediction out;
-  out.prediction = predict_impl(
-      d, std::vector<double>(static_cast<std::size_t>(iterations), 1.0), &attr);
-  out.terms = std::move(attr.terms);
-  return out;
-}
-
-Prediction Predictor::predict_impl(const dist::GenBlock& d,
-                                   const std::vector<double>& iteration_scales,
-                                   Attribution* attr) const {
-  MHETA_CHECK(d.nodes() == params_.node_count());
   MHETA_CHECK(!iteration_scales.empty());
+  return predict_scaled(d, iteration_scales.size(), iteration_scales.data());
+}
+
+Prediction Predictor::predict_scaled(const dist::GenBlock& d,
+                                     std::size_t iterations,
+                                     const double* scales) const {
+  MHETA_CHECK(d.nodes() == params_.node_count());
   const int n = d.nodes();
   const auto plans = plans_for(d);
-  if (attr != nullptr)
-    attr->terms.assign(structure_.sections.size(),
-                       std::vector<CostTerms>(static_cast<std::size_t>(n)));
-  IterationCache cache;
+  const FullRows rows = full_rows(n);
+  const std::function<void(double)> rebuild = [&](double scale) {
+    build_rows(d, plans, scale, rows.data.get(), nullptr);
+  };
+  ClockState state;
   Prediction pred;
-  run_iterations(n, iteration_scales, attr, cache,
-                 [&](double scale, bool with_terms) {
-                   build_iteration_cache(d, plans, scale, cache, with_terms);
-                 },
-                 pred);
+  ScalarClock clock(*this, n, rows.ptr.data(), state, pred, &rebuild);
+  drive(clock, comm_interned_, iterations, scales);
+  clock.finish();
   return pred;
-}
-
-void Predictor::run_iterations(
-    int n, const std::vector<double>& iteration_scales, Attribution* attr,
-    IterationCache& cache, const std::function<void(double, bool)>& rebuild,
-    Prediction& pred, IterScratch* scratch) const {
-  // The per-node clocks are evaluated in offset space: `off` carries the
-  // clock skews within the current iteration, `base` the time already
-  // absorbed by renormalization between iterations. Because every section
-  // operation is a composition of adds and maxes over `off` with
-  // iteration-invariant constants (the cached stage times), the offsets of
-  // a uniform run reach a bitwise fixed point after a few iterations —
-  // which the steady-state shortcut detects and replays exactly.
-  pred.total_s = 0;
-  pred.compute_s = 0;
-  pred.io_s = 0;
-  IterScratch local;
-  IterScratch& s = scratch != nullptr ? *scratch : local;
-  s.off.assign(static_cast<std::size_t>(n), 0.0);
-  std::vector<double>& off = s.off;
-  double base = 0.0;
-  std::vector<double>& arrivals = s.arrivals;  // reused across sections
-
-  std::vector<double>& prev_off = s.prev_off;  // start-of-iteration offsets,
-  bool prev_valid = false;                     // one behind
-  std::vector<double>& last_end = s.last_end;  // pre-renormalization offsets
-  double last_m = 0;  // of the previous iteration, and its renorm delta
-
-  // The diagnostic sums are a pure function of the stage table: computed
-  // once per (re)built or pre-assembled table, then added per iteration.
-  IterationAgg agg;
-  bool agg_valid = false;
-
-  const std::size_t total = iteration_scales.size();
-  std::size_t k = 0;
-  while (k < total) {
-    const double scale = iteration_scales[k];
-    MHETA_CHECK(scale >= 0);
-    if (!cache.valid || cache.scale != scale) {
-      rebuild(scale, attr != nullptr);
-      prev_valid = false;
-      agg_valid = false;
-    }
-    if (!agg_valid) {
-      agg = iteration_agg(n, cache);
-      agg_valid = true;
-    }
-
-    // Attributed runs take the plain per-iteration loop: the shortcut's
-    // replayed iterations would bypass apply_section, losing their terms.
-    if (attr == nullptr && options_.steady_state_shortcut && prev_valid &&
-        std::memcmp(off.data(), prev_off.data(),
-                    off.size() * sizeof(double)) == 0) {
-      // Steady state: this iteration starts from exactly the state the
-      // previous one did, so it (and every following iteration at this
-      // scale) reproduces the recorded step bit for bit.
-      std::size_t end = k;
-      while (end < total && iteration_scales[end] == scale) ++end;
-      const bool covers_final = end == total;
-      const std::size_t full = (end - k) - (covers_final ? 1 : 0);
-      for (std::size_t i = 0; i < full; ++i) {
-        pred.compute_s += agg.compute_s;
-        pred.io_s += agg.io_s;
-        base += last_m;
-      }
-      k += full;
-      if (covers_final) {
-        pred.compute_s += agg.compute_s;
-        pred.io_s += agg.io_s;
-        off = last_end;  // the final iteration is not renormalized
-        ++k;
-      }
-      prev_valid = false;
-      continue;
-    }
-
-    // One full iteration.
-    s.start.assign(off.begin(), off.end());
-    for (std::size_t si = 0; si < structure_.sections.size(); ++si)
-      apply_section(static_cast<int>(si), cache, off, arrivals, attr,
-                    &s.coll_a, &s.coll_b);
-    pred.compute_s += agg.compute_s;
-    pred.io_s += agg.io_s;
-    ++k;
-    if (k == total) break;  // the final iteration stays un-renormalized
-
-    // Renormalize between iterations so offsets stay small and can repeat.
-    last_end.assign(off.begin(), off.end());
-    const double m = *std::min_element(off.begin(), off.end());
-    base += m;
-    for (auto& o : off) o -= m;
-    last_m = m;
-    std::swap(prev_off, s.start);
-    prev_valid = true;
-  }
-
-  pred.node_end_s.resize(static_cast<std::size_t>(n));
-  for (int r = 0; r < n; ++r)
-    pred.node_end_s[static_cast<std::size_t>(r)] =
-        base + off[static_cast<std::size_t>(r)];
-  pred.total_s = *std::max_element(pred.node_end_s.begin(),
-                                   pred.node_end_s.end());
 }
 
 Prediction Predictor::predict2d(const dist::Dist2D& d,
@@ -1113,102 +833,102 @@ Prediction Predictor::predict2d(const dist::Dist2D& d,
   MHETA_CHECK(n == params_.node_count());
   MHETA_CHECK(instrumented.grid().nodes() == n);
   MHETA_CHECK(iterations >= 1);
+  const auto& sections = structure_.sections;
+  for (const auto& section : sections) {
+    MHETA_CHECK_MSG(section.pattern != CommPattern::kPipeline,
+                    "pipelined sections are 1-D only");
+    MHETA_CHECK_MSG(!section.has_alltoall,
+                    "total exchanges are 1-D only");
+  }
 
-  // Per-rank plans over the rank's tile: rows_p rows whose width is the
-  // rank's column block (the same rounding the runtime applies).
+  // Per-call rows: rank r's plan covers its tile, rows_p rows whose width
+  // is the rank's column block (the same rounding the runtime applies), and
+  // compute scales with the tile area relative to the instrumented tile.
+  // Without pipelines every section is one tile, so the flat row layout is
+  // the rank's stages section by section.
   ooc::PlannerOptions popts;
   popts.overhead_bytes = options_.planner_overhead_bytes;
   popts.max_blocks = options_.max_blocks;
-  std::vector<ooc::NodePlan> plans;
-  plans.reserve(static_cast<std::size_t>(n));
+  const FullRows rows = full_rows(n);
+  ooc::StageIoLayout io;
   for (int r = 0; r < n; ++r) {
     std::vector<ooc::ArraySpec> rank_arrays = structure_.arrays;
     for (auto& a : rank_arrays) {
       a.row_bytes = static_cast<std::int64_t>(std::llround(
           static_cast<double>(a.row_bytes) * d.width_fraction(r)));
     }
-    plans.push_back(ooc::plan_node(rank_arrays, d.rows(r),
-                                   memory_bytes_[static_cast<std::size_t>(r)],
-                                   popts));
-  }
-
-  const auto& grid = d.grid();
-  Prediction pred;
-  std::vector<double> t(static_cast<std::size_t>(n), 0.0);
-  ooc::StageIoLayout io;
-  for (int it = 0; it < iterations; ++it) {
-    for (std::size_t si = 0; si < structure_.sections.size(); ++si) {
-      const auto& section = structure_.sections[si];
-      MHETA_CHECK_MSG(section.pattern != CommPattern::kPipeline,
-                      "pipelined sections are 1-D only");
-      // Stages: compute scales with the tile area relative to the
-      // instrumented tile; I/O follows the scaled plans.
-      for (int r = 0; r < n; ++r) {
-        const double frac_instr = instrumented.width_fraction(r);
-        MHETA_CHECK(frac_instr > 0);
-        const double work_scale = d.width_fraction(r) / frac_instr;
-        const ooc::NodePlan& plan = plans[static_cast<std::size_t>(r)];
-        for (std::size_t g = 0; g < section.stages.size(); ++g) {
-          layout_stage(
-              flat_stage_index(static_cast<int>(si), static_cast<int>(g)),
-              plan, d.rows(r), io);
-          const auto st = stage_time(
-              r, section, section.stages[g],
-              interned_stage(r, static_cast<int>(si), static_cast<int>(g)),
-              io, plan, work_scale);
-          t[static_cast<std::size_t>(r)] += st.stage_s;
-          pred.compute_s += st.compute_s;
-          pred.io_s += st.io_s;
-        }
+    const ooc::NodePlan plan = ooc::plan_node(
+        rank_arrays, d.rows(r), memory_bytes_[static_cast<std::size_t>(r)],
+        popts);
+    const double frac_instr = instrumented.width_fraction(r);
+    MHETA_CHECK(frac_instr > 0);
+    const double work_scale = d.width_fraction(r) / frac_instr;
+    double* row =
+        rows.data.get() + static_cast<std::size_t>(r) * 3 * row_len_;
+    for (std::size_t si = 0; si < sections.size(); ++si) {
+      for (std::size_t g = 0; g < sections[si].stages.size(); ++g) {
+        layout_stage(flat_stage_index(static_cast<int>(si), static_cast<int>(g)),
+                     plan, d.rows(r), io);
+        const NodeSectionTime st = stage_time(
+            r, sections[si], sections[si].stages[g],
+            interned_stage(r, static_cast<int>(si), static_cast<int>(g)), io,
+            plan, work_scale);
+        const std::size_t q = row_offset_[si] + g;
+        row[q] = st.stage_s;
+        row[row_len_ + q] = st.compute_s;
+        row[2 * row_len_ + q] = st.io_s;
       }
-      if (section.pattern == CommPattern::kNearestNeighbor) {
-        // Mirror the 2-D driver: sends north, south, west, east, then
-        // receives in the same order.
-        std::map<std::pair<int, int>, std::deque<double>> arrivals;
-        auto peers_of = [&](int r) {
-          const int p = grid.row_of(r);
-          const int q = grid.col_of(r);
-          std::vector<std::pair<int, bool>> peers;  // (rank, is_ns)
-          if (p > 0) peers.push_back({grid.rank_of(p - 1, q), true});
-          if (p + 1 < grid.p) peers.push_back({grid.rank_of(p + 1, q), true});
-          if (q > 0) peers.push_back({grid.rank_of(p, q - 1), false});
-          if (q + 1 < grid.q) peers.push_back({grid.rank_of(p, q + 1), false});
-          return peers;
-        };
-        auto halo_bytes = [&](int r, bool ns) -> std::int64_t {
-          if (ns) {
-            return static_cast<std::int64_t>(
-                std::llround(static_cast<double>(section.message_bytes) *
-                             d.width_fraction(r)));
-          }
-          MHETA_CHECK(d.total_cols() > 0);
-          MHETA_CHECK(section.message_bytes % d.total_cols() == 0);
-          return d.rows(r) * (section.message_bytes / d.total_cols());
-        };
-        for (int r = 0; r < n; ++r) {
-          auto& tr = t[static_cast<std::size_t>(r)];
-          for (const auto& [peer, ns] : peers_of(r)) {
-            tr += o_s(r);
-            arrivals[{r, peer}].push_back(
-                tr + params_.network.transfer_s(halo_bytes(r, ns)));
-          }
-        }
-        for (int r = 0; r < n; ++r) {
-          auto& tr = t[static_cast<std::size_t>(r)];
-          for (const auto& [peer, ns] : peers_of(r)) {
-            (void)ns;
-            auto& queue = arrivals[{peer, r}];
-            MHETA_CHECK(!queue.empty());
-            tr = std::max(tr, queue.front()) + o_r(r);
-            queue.pop_front();
-          }
-        }
-      }
-      if (section.has_reduction) apply_reduction(section.reduce_bytes, t);
     }
   }
-  pred.node_end_s = t;
-  pred.total_s = *std::max_element(t.begin(), t.end());
+
+  // Per-call messages: the grid halos of the 2-D driver, sent north, south,
+  // west, east and received in the same order.
+  const auto& grid = d.grid();
+  std::vector<InternedSectionComm> comm(sections.size());
+  std::vector<int> peers;
+  for (std::size_t si = 0; si < sections.size(); ++si) {
+    const SectionSpec& section = sections[si];
+    InternedSectionComm& ic = comm[si];
+    ic.sends.resize(static_cast<std::size_t>(n));
+    ic.recvs.resize(static_cast<std::size_t>(n));
+    if (section.pattern == CommPattern::kNearestNeighbor) {
+      for (int r = 0; r < n; ++r) {
+        const int p = grid.row_of(r);
+        const int q = grid.col_of(r);
+        // North-south halos carry a row of the rank's column block,
+        // east-west halos one element column of its rows.
+        const double ns = params_.network.transfer_s(
+            static_cast<std::int64_t>(std::llround(
+                static_cast<double>(section.message_bytes) *
+                d.width_fraction(r))));
+        double ew = 0;
+        if (grid.q > 1) {
+          MHETA_CHECK(d.total_cols() > 0);
+          MHETA_CHECK(section.message_bytes % d.total_cols() == 0);
+          ew = params_.network.transfer_s(
+              d.rows(r) * (section.message_bytes / d.total_cols()));
+        }
+        auto& sends = ic.sends[static_cast<std::size_t>(r)];
+        if (p > 0) sends.push_back({grid.rank_of(p - 1, q), ns});
+        if (p + 1 < grid.p) sends.push_back({grid.rank_of(p + 1, q), ns});
+        if (q > 0) sends.push_back({grid.rank_of(p, q - 1), ew});
+        if (q + 1 < grid.q) sends.push_back({grid.rank_of(p, q + 1), ew});
+      }
+    }
+    ic.number_sends();
+    for (int r = 0; r < n; ++r) {
+      peers.clear();
+      for (const InternedSend& s : ic.sends[static_cast<std::size_t>(r)])
+        peers.push_back(s.peer);
+      ic.match_recvs(r, peers);
+    }
+  }
+
+  ClockState state;
+  Prediction pred;
+  ScalarClock clock(*this, n, rows.ptr.data(), state, pred);
+  drive(clock, comm, static_cast<std::size_t>(iterations), nullptr);
+  clock.finish();
   return pred;
 }
 

@@ -27,12 +27,12 @@
 // Within one call, work that ranks share is done once: ranks with equal
 // (memory, rows) form a group with one plan lookup and one set of stage
 // I/O layouts, and equal-length tiles share one stage evaluation. The
-// clock sweep follows its data dependencies: diagnostic sums are taken
-// once per stage table, pipelines run rank-outer, and the reduction tree
-// visits only its active ranks. All knobs live in ModelOptions; disabling
-// them reproduces the naive per-iteration loop bit for bit (the fast-path
-// tests enforce this, and tests/core/golden_bits_test.cpp pins the bits
-// themselves).
+// clock sweep (walk.hpp) is written once over a clock policy and follows
+// its data dependencies: diagnostic sums are taken once per set of stage
+// rows, pipelines run rank-outer, and the reduction tree visits only its
+// active ranks. All knobs live in ModelOptions; disabling them reproduces
+// the naive per-iteration loop bit for bit (the fast-path tests enforce
+// this, and tests/core/golden_bits_test.cpp pins the bits themselves).
 //
 // Deliberate blind spots, matching the paper's limitations (§5.4): no
 // memory-hierarchy model, a simplistic in-core/out-of-core heuristic (the
@@ -167,11 +167,15 @@ class Predictor {
                                 const std::vector<double>& iteration_scales) const;
 
   /// Like predict(), but additionally decomposes every node's predicted
-  /// time into the paper's cost terms per section (see CostTerms). Runs the
-  /// plain per-iteration loop — the steady-state shortcut is bypassed so
-  /// each iteration's costs are attributed — and is therefore slower than
-  /// predict(); the totals are identical (the fast-path tests prove the
-  /// shortcut bit-exact against this loop).
+  /// time into the paper's cost terms per section (see CostTerms). A fold
+  /// over predict_traced()'s events: a receive adds its end minus the
+  /// rank's clock before it, a send adds o_s, a stage run its slots' terms,
+  /// and a section's collectives one net advance per rank; the steady
+  /// iteration's events are folded once per repeat. For each rank these are
+  /// the adds a per-iteration walk would make, in its order, so the terms
+  /// do not depend on the steady-state shortcut, and the cost is the traced
+  /// sweep's: O(transient), not O(iterations), with one iteration's events
+  /// held at a time. The prediction is predict()'s, bit for bit.
   AttributedPrediction predict_attributed(const dist::GenBlock& d,
                                           int iterations = 1) const;
 
@@ -204,7 +208,10 @@ class Predictor {
   /// Two-dimensional distributions (extension; §5.1 notes the model
   /// extends to them). `instrumented` must be the 2-D distribution of the
   /// instrumented run (its per-rank rows are params().instrumented_dist).
-  /// Supports kNone and kNearestNeighbor sections (pipelines are 1-D).
+  /// Supports kNone and kNearestNeighbor sections, with reductions; rejects
+  /// pipelines (1-D only) and total exchanges. The grid halos become a
+  /// per-call send/recv table and the stage times per-call rows, walked
+  /// like predict()'s.
   Prediction predict2d(const dist::Dist2D& d, const dist::Dist2D& instrumented,
                        int iterations = 1) const;
 
@@ -236,12 +243,11 @@ class Predictor {
   std::vector<StageTableView> stage_table_view() const;
 
  private:
-  // The incremental (delta) evaluator reuses the interned tables, the plan
-  // cache and the shared clock-propagation loop, caching per-(rank, rows)
-  // stage times across candidate distributions. The lane evaluator reuses
-  // the same tables but runs its own K-candidate-wide clock loop (see
-  // lanes.hpp for the bit-identity argument). The test peer exists so the
-  // scratch-reuse contract of run_iterations can be pinned directly.
+  // The section walk and its iteration driver (walk.hpp) are written once
+  // over a clock policy; predict, the delta and lane evaluators and the
+  // traced sweep each instantiate them with their own clock. The evaluators
+  // keep per-(rank, rows) rows in the flat row layout owned here. The test
+  // peer pins the driver's reuse of its clock state directly.
   friend class IncrementalEvaluator;
   friend class LaneEvaluator;
   friend struct PredictorTestPeer;
@@ -253,7 +259,7 @@ class Predictor {
 
   /// Per-iteration diagnostic sums, accumulated into Prediction once per
   /// iteration (keeps the steady-state replay bit-identical to the loop).
-  /// A pure function of the stage table (see iteration_agg).
+  /// A pure function of the stage rows (see iteration_agg).
   struct IterationAgg {
     double compute_s = 0;
     double io_s = 0;
@@ -268,8 +274,7 @@ class Predictor {
   /// (`slot * arrays.size() + array_index`; NodePlan::arrays preserves the
   /// order of ProgramStructure::arrays, so an ArrayPlan's position doubles
   /// as its variable id). The SoA layout keeps the innermost stage loop on
-  /// contiguous doubles — no per-slot vectors to chase — which is what lets
-  /// it vectorize and what the incremental evaluator streams from.
+  /// contiguous doubles, with no per-slot vectors to chase.
   struct StageCosts {
     bool present = false;
     double compute_s = 0;
@@ -287,6 +292,9 @@ class Predictor {
     int sender = -1;
     int send_slot = -1;  // send_offset[sender] + index in sender's send list
   };
+  /// One section's messages as the walk reads them: interned from the
+  /// measured parameters at construction, or built per call by predict2d
+  /// for its grid halos.
   struct InternedSectionComm {
     std::vector<std::vector<InternedSend>> sends;  // per rank
     std::vector<std::vector<InternedRecv>> recvs;  // per rank
@@ -294,37 +302,18 @@ class Predictor {
     int total_sends = 0;
     bool matched = true;  // every recv found its matching send
     std::vector<double> pipeline_transfer_s;       // per rank (Eq. 4 boundary)
+
+    /// Numbers the flat send slots once every rank's sends are in.
+    void number_sends();
+    /// Appends rank r's receives from `peers`, in order, each resolved to
+    /// the next unconsumed send of that peer to r; clears `matched` when
+    /// one has none.
+    void match_recvs(int r, const std::vector<int>& peers);
   };
 
-  /// Stage times of one full iteration at one work scale, cached per
-  /// predict call, struct-of-arrays: three parallel double tables per
-  /// section, each flat [rank][tile][stage] (rank-major, so one rank's
-  /// segment is contiguous and can be copied in/out wholesale — the
-  /// incremental evaluator assembles these tables from its per-(rank, rows)
-  /// row cache). `terms` mirrors the slots and is only filled on attributed
-  /// runs.
-  struct SectionTimes {
-    std::vector<double> stage_s;
-    std::vector<double> compute_s;
-    std::vector<double> io_s;
-
-    void assign(std::size_t slots) {
-      stage_s.assign(slots, 0.0);
-      compute_s.assign(slots, 0.0);
-      io_s.assign(slots, 0.0);
-    }
-  };
-  struct IterationCache {
-    bool valid = false;
-    double scale = 0;
-    std::vector<SectionTimes> sections;
-    std::vector<std::vector<CostTerms>> terms;
-  };
-
-  /// Attribution sink for one evaluation: [section][rank] accumulators.
-  struct Attribution {
-    std::vector<std::vector<CostTerms>> terms;
-  };
+  // The walk's policies (walk.hpp, critical.cpp).
+  struct ScalarClock;
+  struct TracedClock;
 
   void intern_tables();
   StageCosts interned_stage(int rank, int section_index,
@@ -351,7 +340,7 @@ class Predictor {
   /// `rank`; `work_scale` multiplies the computation (non-uniform
   /// iterations). When `terms` is non-null the stage cost is additionally
   /// split into compute / read / write / prefetch-wait such that the parts
-  /// sum to stage_s (attributed runs only; the hot path passes nullptr).
+  /// sum to stage_s (traced runs only; the hot path passes nullptr).
   NodeSectionTime stage_time(int rank, const SectionSpec& section,
                              const ooc::StageDef& stage, const StageCosts& ist,
                              const ooc::StageIoLayout& io,
@@ -401,11 +390,10 @@ class Predictor {
       int rank, std::int64_t count, std::uint64_t sharers = 0) const;
 
   /// All stage times of `rank` for one section at `count` local rows,
-  /// written into the rank's contiguous [tile][stage] segment of the three
-  /// SoA output arrays (each sized tiles * stages), and each slot's term
-  /// split into `terms` when non-null. Single source of truth for the
-  /// per-slot values: build_iteration_cache, predict_traced and the delta
-  /// and lane row caches all fill through it, so a cached row is
+  /// written into the rank's [tile][stage] segment of the three outputs
+  /// (each tiles * stages long), and each slot's term split into `terms`
+  /// when non-null. Single source of truth for the per-slot values: every
+  /// row the walk reads is filled through it, so a cached row is
   /// bit-identical to a freshly built one. Each (stage, tile length) is
   /// evaluated once and copied to the other tiles of that length. `layouts`
   /// are the section's layouts for `plan` and `count` (layout_section);
@@ -416,71 +404,66 @@ class Predictor {
                           CostTerms* terms,
                           const SectionLayouts* layouts = nullptr) const;
 
-  /// Fills `cache` with every section/rank/tile/stage time for one
-  /// iteration at `scale`; per-slot terms too when `with_terms` is set.
+  /// One rank's row at `count` rows and scale 1.0, as the evaluators cache
+  /// it: stage times into `stage_s` and the compute/io splits into
+  /// `compute_s`/`io_s`, each row_len_ long.
+  void build_row(int rank, std::int64_t count, double* stage_s,
+                 double* compute_s, double* io_s) const;
+
+  /// Uninitialized full rows (3 * row_len_ doubles each: stage, compute,
+  /// io) for n ranks in one block, rank r's at data + r * 3 * row_len_, and
+  /// a pointer to each for the walk.
+  struct FullRows {
+    std::unique_ptr<double[]> data;
+    std::vector<const double*> ptr;
+  };
+  FullRows full_rows(int n) const;
+
+  /// Full rows (3 * row_len_ doubles: stage, compute, io) of every rank of
+  /// `d` at `scale`, rank r's at rows + r * 3 * row_len_, and per-slot terms
+  /// into terms[section][rank * row_span_[section] + slot] when non-null.
   /// Each section is laid out once per plan group and then filled rank by
   /// rank through build_rank_section.
-  void build_iteration_cache(const dist::GenBlock& d, const PlanGroups& plans,
-                             double scale, IterationCache& cache,
-                             bool with_terms = false) const;
+  void build_rows(const dist::GenBlock& d, const PlanGroups& plans,
+                  double scale, double* rows,
+                  std::vector<std::vector<CostTerms>>* terms) const;
 
-  /// The diagnostic sums of one iteration over `cache`. The summation
+  /// The diagnostic sums of one iteration over full rows. The summation
   /// order is part of the result's bits: sections in order, pipelines
   /// tile-outer (tile, rank, stage), other sections (rank, stage).
-  IterationAgg iteration_agg(int n, const IterationCache& cache) const;
+  IterationAgg iteration_agg(int n, const double* const* rows) const;
 
-  /// Advances per-node clocks through one section using cached stage times.
-  /// When `attr` is non-null every clock advance is also attributed to a
-  /// cost term in attr->terms[section_index].
-  void apply_section(int section_index, const IterationCache& cache,
-                     std::vector<double>& t, std::vector<double>& arrivals,
-                     Attribution* attr = nullptr,
-                     std::vector<double>* coll_a = nullptr,
-                     std::vector<double>* coll_b = nullptr) const;
+  /// predict_traced(), handing the trace to `flush` (when set) at the start
+  /// of every walked iteration after the first, while it holds the previous
+  /// iteration's events; the flush may consume and clear them.
+  SweepTrace traced_sweep(
+      const dist::GenBlock& d, int iterations,
+      const std::function<void(SweepTrace&)>* flush) const;
 
-  /// Shared evaluation loop; `attr` selects the attributed (shortcut-free)
-  /// path.
-  Prediction predict_impl(const dist::GenBlock& d,
-                          const std::vector<double>& iteration_scales,
-                          Attribution* attr) const;
+  /// predict() and predict_nonuniform(): `iterations` iterations at
+  /// scales[k], or all at 1.0 when `scales` is null.
+  Prediction predict_scaled(const dist::GenBlock& d, std::size_t iterations,
+                            const double* scales) const;
 
-  /// Reusable per-call vectors of run_iterations. A caller evaluating many
-  /// candidates (the incremental evaluator) passes one of these to keep the
-  /// loop allocation-free; passing nullptr uses call-local storage.
-  struct IterScratch {
-    std::vector<double> off;
-    std::vector<double> arrivals;
-    std::vector<double> start;
-    std::vector<double> prev_off;
-    std::vector<double> last_end;
-    std::vector<double> coll_a;  // collective arrival scratch
-    std::vector<double> coll_b;  // broadcast arrival scratch
-  };
+  // ---- the walk (walk.hpp) ----
 
-  /// The clock-propagation loop shared by predict_impl and the incremental
-  /// evaluator: advances per-node clocks through all sections per
-  /// iteration, renormalizing between iterations and collapsing repeated
-  /// uniform iterations through the steady-state shortcut. `rebuild(scale,
-  /// with_terms)` must (re)fill `cache` whenever the scale changes; a
-  /// caller that pre-assembled `cache` for the single scale in
-  /// `iteration_scales` never sees it invoked. The result is written into
-  /// `pred` (overwritten, capacity reused).
-  void run_iterations(int n, const std::vector<double>& iteration_scales,
-                      Attribution* attr, IterationCache& cache,
-                      const std::function<void(double, bool)>& rebuild,
-                      Prediction& pred, IterScratch* scratch = nullptr) const;
-
-  /// Advances per-node clocks through the binomial reduce + broadcast tree
-  /// (mirrors the SimMPI collective exactly). Optional scratch vectors
-  /// avoid the two per-call allocations on the hot loop.
-  void apply_reduction(std::int64_t bytes, std::vector<double>& t,
-                       std::vector<double>* scratch_a = nullptr,
-                       std::vector<double>* scratch_b = nullptr) const;
-
-  /// Advances per-node clocks through the ring-shifted total exchange
-  /// (mirrors SimMPI::alltoall exactly). `scratch` as in apply_reduction.
-  void apply_alltoall(std::int64_t bytes_per_pair, std::vector<double>& t,
-                      std::vector<double>* scratch = nullptr) const;
+  /// Advances clock `c` through section `si`, with messages from `ic`.
+  template <class Clock>
+  void walk_section(int si, const InternedSectionComm& ic, Clock& c) const;
+  /// The ring-shifted total exchange (mirrors SimMPI::alltoall exactly); `x`
+  /// is one message's transfer time.
+  template <class Clock>
+  void alltoall(Clock& c, double x) const;
+  /// The binomial reduce + broadcast tree (mirrors the SimMPI collective
+  /// exactly).
+  template <class Clock>
+  void reduce_broadcast(Clock& c, double x) const;
+  /// The iteration driver: `iterations` iterations of every section at
+  /// scales[k] (1.0 when null), renormalized between iterations, with
+  /// repeated equal-scale iterations collapsed by the steady-state shortcut.
+  template <class Clock>
+  void drive(Clock& c, const std::vector<InternedSectionComm>& comm,
+             std::size_t iterations, const double* scales) const;
 
   double o_s(int rank) const {
     return send_overhead_s_[static_cast<std::size_t>(rank)];
@@ -510,6 +493,12 @@ class Predictor {
   std::vector<std::vector<int>> stage_read_idx_;   // [flat stage]
   std::vector<std::vector<int>> stage_write_idx_;  // same indexing
   std::vector<InternedSectionComm> comm_interned_;  // per section
+  // The flat row layout: section si occupies [row_offset_[si],
+  // row_offset_[si] + row_span_[si]) of a rank's row, its tiles x stages
+  // slots [tile][stage]; row_len_ is the sum of the spans.
+  std::vector<std::size_t> row_offset_;
+  std::vector<std::size_t> row_span_;
+  std::size_t row_len_ = 0;
   std::vector<std::int64_t> instrumented_counts_;   // per rank
   std::vector<double> send_overhead_s_;             // per rank: o_s
   std::vector<double> recv_overhead_s_;             // per rank: o_r

@@ -213,8 +213,9 @@ PolicyResult run_policy(Policy policy, const cluster::ArchConfig& arch,
   // only threshold-level bias is ever presumed. Anchoring once — not
   // min-tracking — keeps phases where the metric is transiently low (a
   // contention window swamping the biased term) from later making the
-  // bias look fresh.
-  std::optional<double> drift_floor;
+  // bias look fresh. Unknown until the current model has served an epoch.
+  double drift_floor = 0;
+  bool floor_known = false;
   // Actionable level of the last reaction that concluded "stay". Drift can
   // look asymmetric (per-node wait spreads under global contention) while
   // the re-search finds nothing movable; once the controller has paid to
@@ -274,9 +275,11 @@ PolicyResult run_policy(Policy policy, const cluster::ArchConfig& arch,
       // uniform network contention inflates `worst` but no redistribution
       // addresses it, and a model's own persistent bias re-appears after
       // every re-calibration, so reacting to either would be pure overhead.
-      if (!drift_floor)
+      if (!floor_known) {
         drift_floor = std::min(drift.actionable, opts.drift_threshold);
-      drift_streak = drift.actionable - *drift_floor > opts.drift_threshold
+        floor_known = true;
+      }
+      drift_streak = drift.actionable - drift_floor > opts.drift_threshold
                          ? drift_streak + 1
                          : 0;
 
@@ -313,7 +316,7 @@ PolicyResult run_policy(Policy policy, const cluster::ArchConfig& arch,
         // floor is unknown until it serves an epoch.
         predictor = std::move(remodel);
         drift_streak = 0;
-        drift_floor.reset();
+        floor_known = false;
       }
     }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "apps/isort.hpp"
 #include "apps/jacobi.hpp"
 #include "apps/rna.hpp"
 #include "cluster/suite.hpp"
@@ -39,6 +40,17 @@ TEST(Driver2D, EwHaloRequiresDivisibleMessage) {
 TEST(Driver2D, RejectsPipelinedSections) {
   const auto arch = cluster::find_arch("DC");
   const auto p = rna_program({});  // pipelined
+  const auto d = even_2d(p.rows(), p.arrays[0].row_bytes / 8, {4, 2});
+  RunOptions run;
+  run.iterations = 1;
+  EXPECT_THROW(run_program_2d(arch.cluster, cluster::SimEffects::none(), p, d,
+                              run),
+               CheckError);
+}
+
+TEST(Driver2D, RejectsTotalExchangeSections) {
+  const auto arch = cluster::find_arch("DC");
+  const auto p = isort_program({});  // ring alltoall
   const auto d = even_2d(p.rows(), p.arrays[0].row_bytes / 8, {4, 2});
   RunOptions run;
   run.iterations = 1;

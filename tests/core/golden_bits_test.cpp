@@ -19,6 +19,8 @@
 #include <gtest/gtest.h>
 
 #include "core/critical.hpp"
+#include "core/incremental.hpp"
+#include "core/lanes.hpp"
 #include "core/model.hpp"
 #include "ooc/planner.hpp"
 
@@ -62,16 +64,41 @@ struct Observed {
   }
 };
 
+/// `got` carries exactly `want`'s bits (want is predict()'s, pinned).
+void expect_same_bits(const Prediction& got, const Prediction& want,
+                      const std::string& what) {
+  EXPECT_EQ(bits(got.total_s), bits(want.total_s)) << what;
+  EXPECT_EQ(bits(got.compute_s), bits(want.compute_s)) << what;
+  EXPECT_EQ(bits(got.io_s), bits(want.io_s)) << what;
+  ASSERT_EQ(got.node_end_s.size(), want.node_end_s.size()) << what;
+  for (std::size_t r = 0; r < want.node_end_s.size(); ++r)
+    EXPECT_EQ(bits(got.node_end_s[r]), bits(want.node_end_s[r]))
+        << what << " node_end_s[" << r << "]";
+}
+
 /// Every pinned field of `d` under `p`, for each iteration count: the
 /// prediction, every attributed term, and the traced sweep (its prediction
 /// must equal predict()'s bits; its events and per-slot terms are folded
-/// into one digest each).
+/// into one digest each). The delta and lane evaluators walk the same
+/// clocks with their own policies, so they must reproduce predict()'s
+/// pinned bits too.
 Observed observe(const Predictor& p, const dist::GenBlock& d) {
   Observed out;
   for (const int k : kIterationCounts) {
     const std::string at = "K=" + std::to_string(k) + " ";
     const Prediction pred = p.predict(d, k);
     out.add_prediction(at, pred);
+
+    IncrementalEvaluator delta(p);
+    expect_same_bits(delta.evaluate(d, k), pred, at + "delta");
+    LaneEvaluator lanes(p);
+    const std::vector<dist::GenBlock> group(
+        static_cast<std::size_t>(lanes.options().min_fill), d);
+    std::vector<double> totals(group.size());
+    lanes.evaluate_totals(group.data(), group.size(), k, totals.data());
+    EXPECT_EQ(lanes.stats().lane_evaluations, group.size()) << at;
+    for (const double total : totals)
+      EXPECT_EQ(bits(total), bits(pred.total_s)) << at << "lanes";
 
     const AttributedPrediction attr = p.predict_attributed(d, k);
     EXPECT_EQ(bits(attr.prediction.total_s), bits(pred.total_s)) << at;

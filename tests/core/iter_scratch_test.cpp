@@ -1,8 +1,9 @@
-// Tests of Predictor::IterScratch reuse: one scratch shared across calls
-// with different structures and rank counts (growing then shrinking) must
-// leave every prediction bit-identical to the scratch-free path, and the
-// collective scratch vectors (coll_a/coll_b) must not alias each other
-// under a section that runs both an alltoall and a reduction.
+// Tests of the clock driver's reuse of its scalar clock state: one
+// ClockState shared across calls with different structures and rank counts
+// (growing then shrinking) must leave every prediction bit-identical to the
+// fresh-state path, and the collective arrival buffers (coll_a/coll_b) must
+// not alias each other under a section that runs both an alltoall and a
+// reduction.
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -11,42 +12,40 @@
 #include <gtest/gtest.h>
 
 #include "core/model.hpp"
+#include "core/walk.hpp"
 #include "dist/genblock.hpp"
 
 namespace mheta::core {
 
-// Friend of Predictor (declared in model.hpp): mirrors predict_impl but
-// threads an externally owned IterScratch through run_iterations, exactly
-// like the incremental evaluator does.
+// Friend of Predictor (declared in model.hpp): mirrors predict() but drives
+// the scalar clock over an externally owned ClockState, exactly like the
+// incremental evaluator does.
 struct PredictorTestPeer {
-  using Scratch = Predictor::IterScratch;
+  using Scratch = ClockState;
 
   static Prediction predict_with_scratch(const Predictor& p,
                                          const dist::GenBlock& d,
                                          int iterations,
                                          Scratch& scratch) {
-    const auto plans = p.plans_for(d);
-    Predictor::IterationCache cache;
+    const int n = d.nodes();
+    const Predictor::FullRows rows = p.full_rows(n);
+    p.build_rows(d, p.plans_for(d), 1.0, rows.data.get(), nullptr);
     Prediction pred;
-    p.run_iterations(
-        d.nodes(),
-        std::vector<double>(static_cast<std::size_t>(iterations), 1.0),
-        nullptr, cache,
-        [&](double scale, bool with_terms) {
-          p.build_iteration_cache(d, plans, scale, cache, with_terms);
-        },
-        pred, &scratch);
+    Predictor::ScalarClock clock(p, n, rows.ptr.data(), scratch, pred);
+    p.drive(clock, p.comm_interned_, static_cast<std::size_t>(iterations),
+            nullptr);
+    clock.finish();
     return pred;
   }
 
-  // Poisons every scratch vector with NaNs of a mismatched size, proving
-  // run_iterations never reads stale scratch contents or relies on the
+  // Poisons every clock-state vector with NaNs of a mismatched size,
+  // proving the driver never reads stale contents or relies on the
   // incoming sizes.
   static void poison(Scratch& s, std::size_t n) {
     const double nan = std::nan("");
     for (std::vector<double>* v :
-         {&s.off, &s.arrivals, &s.start, &s.prev_off, &s.last_end, &s.coll_a,
-          &s.coll_b})
+         {&s.off, &s.start, &s.prev_off, &s.last_end, &s.base, &s.mins,
+          &s.last_m, &s.arrivals, &s.coll_a, &s.coll_b})
       v->assign(n, nan);
   }
 };
@@ -141,7 +140,7 @@ dist::GenBlock skewed(int n, std::int64_t rows) {
 
 TEST(IterScratch, ReuseAcrossStructuresAndRankCounts) {
   // Grow 4 -> 8, change structure, then shrink back to 2, all through ONE
-  // scratch. Every call must match the scratch-free predict() bit for bit.
+  // clock state. Every call must match predict() bit for bit.
   PredictorTestPeer::Scratch scratch;
   const struct {
     int nodes;
@@ -158,7 +157,7 @@ TEST(IterScratch, ReuseAcrossStructuresAndRankCounts) {
 }
 
 TEST(IterScratch, PoisonedScratchIsHarmless) {
-  // run_iterations must fully (re)initialize every scratch vector: NaNs of
+  // The driver must fully (re)initialize every clock-state vector: NaNs of
   // the wrong size left over from a previous caller cannot leak into the
   // result.
   const Predictor pred = make_predictor(8, /*collectives=*/true);
@@ -174,12 +173,11 @@ TEST(IterScratch, PoisonedScratchIsHarmless) {
 }
 
 TEST(IterScratch, CollectiveScratchNonAliasingUnderReductionAlltoallMix) {
-  // A section with both collectives drives apply_alltoall(coll_a) followed
-  // by apply_reduction(coll_a, coll_b) each iteration. If coll_a and
-  // coll_b aliased, the reduction's broadcast arrivals would overwrite its
-  // reduce arrivals mid-tree. Cross-check the scratch path against the
-  // scratch-free path (local vectors, trivially distinct) over repeated
-  // reuse and both orderings of node count.
+  // A section with both collectives walks the alltoall (coll_a) and then
+  // the reduce + broadcast tree (coll_a, coll_b) each iteration. If coll_a
+  // and coll_b aliased, the broadcast arrivals would overwrite the reduce
+  // arrivals mid-tree. Cross-check the reused state against predict()'s
+  // fresh state over repeated reuse and both orderings of node count.
   PredictorTestPeer::Scratch scratch;
   for (const int n : {8, 5, 8, 3}) {
     const Predictor pred = make_predictor(n, /*collectives=*/true);

@@ -192,6 +192,28 @@ TEST(Predictor, RejectsMismatchedDistribution) {
   EXPECT_THROW(pred.predict(dist::GenBlock({1000})), CheckError);
 }
 
+TEST(Predictor, Predict2dRejectsOneDimensionalSections) {
+  // Pipelines and total exchanges have no 2-D form; predict2d refuses them
+  // instead of skipping them.
+  const dist::Dist2D d({2, 1}, dist::GenBlock({500, 500}),
+                       dist::GenBlock({1}));
+  const Predictor plain(simple_program(false), simple_params(2),
+                        {10ll << 20, 10ll << 20});
+  EXPECT_NO_THROW(plain.predict2d(d, d));
+  ProgramStructure pipelined = simple_program(false);
+  pipelined.sections[0].pattern = CommPattern::kPipeline;
+  pipelined.sections[0].tiles = 2;
+  EXPECT_THROW(Predictor(pipelined, simple_params(2), {10ll << 20, 10ll << 20})
+                   .predict2d(d, d),
+               CheckError);
+  ProgramStructure exchanged = simple_program(false);
+  exchanged.sections[0].has_alltoall = true;
+  exchanged.sections[0].alltoall_bytes_per_pair = 64;
+  EXPECT_THROW(Predictor(exchanged, simple_params(2), {10ll << 20, 10ll << 20})
+                   .predict2d(d, d),
+               CheckError);
+}
+
 TEST(Predictor, LimitationTwoHeuristicIgnoresOverhead) {
   // Local array exactly fills memory; the model (no overhead) calls it in
   // core even though a runtime reserving buffers would stream it.
