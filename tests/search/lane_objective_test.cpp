@@ -194,6 +194,77 @@ TEST(LaneObjective, AwkwardShapesShareSweepsAndMatchFullPredict) {
   }
 }
 
+/// `count` candidates around the block distribution in which every rank's
+/// count is new: candidate k moves sign * (k + 1) rows from the last rank
+/// to each of the others.
+std::vector<dist::GenBlock> fresh_rows(const AppFixture& f, int count,
+                                       int sign) {
+  const dist::GenBlock start = dist::block_dist(f.ctx);
+  const std::size_t n = static_cast<std::size_t>(start.nodes());
+  std::vector<dist::GenBlock> out;
+  for (int k = 0; k < count; ++k) {
+    auto counts = start.counts();
+    const std::int64_t d = sign * (k + 1);
+    for (std::size_t r = 0; r + 1 < n; ++r) counts[r] += d;
+    counts[n - 1] -= d * static_cast<std::int64_t>(n - 1);
+    for (const std::int64_t c : counts) EXPECT_GE(c, 0);
+    out.emplace_back(counts);
+  }
+  return out;
+}
+
+// A group is swept in blocks of 32 lanes, the last at the smallest compiled
+// width (4, 8, 16 or 32) that holds the rest, its spare lanes padded. Group
+// sizes on and around every width must match full predict lane for lane,
+// node end times included (the crosscheck runs on every sweep).
+TEST(LaneObjective, EveryBlockWidthMatchesFullPredict) {
+  const AppFixture& f = fixture("rna");
+  core::LaneOptions opts;
+  opts.lane_width = 72;
+  opts.crosscheck_every = 1;
+  const LaneObjective lanes(f.predictor, f.iterations, f.arch.cluster, opts);
+  const std::vector<dist::GenBlock> pool = fresh_rows(f, 72, 1);
+  for (const std::size_t count :
+       {4, 5, 8, 9, 15, 16, 17, 31, 32, 33, 36, 48, 64, 65, 72}) {
+    const std::vector<dist::GenBlock> batch(
+        pool.begin(), pool.begin() + static_cast<std::ptrdiff_t>(count));
+    const std::vector<double> values = lanes.evaluate(batch);
+    for (std::size_t i = 0; i < count; ++i)
+      EXPECT_EQ(bits(values[i]),
+                bits(f.predictor.predict(batch[i], f.iterations).total_s))
+          << count << " lanes, lane " << i;
+  }
+  const core::LaneStats stats = lanes.stats();
+  EXPECT_EQ(stats.batched_sweeps, 15u);
+  EXPECT_EQ(stats.scalar_evaluations, 0u);
+  EXPECT_EQ(stats.crosschecks, stats.lane_evaluations);
+  EXPECT_EQ(stats.fallback_latches, 0u);
+  EXPECT_EQ(stats.max_drift_s, 0.0);
+}
+
+// The row cache sizes its table for one group's worst case when it resets.
+// A narrow first group leaves it sized for few inserts; a wide group of
+// all-new (rank, rows) keys after it must still find room (the cache resets
+// when that group's inserts could fill the table past half) and match full
+// predict.
+TEST(LaneObjective, WideGroupOfNewRowsAfterANarrowGroup) {
+  const AppFixture& f = fixture("jacobi");
+  core::LaneOptions opts;
+  opts.row_cache_capacity = 64;
+  const LaneObjective lanes(f.predictor, f.iterations, f.arch.cluster, opts);
+  for (const std::vector<dist::GenBlock>& batch :
+       {fresh_rows(f, 4, -1), fresh_rows(f, 32, 1)}) {
+    const std::vector<double> values = lanes.evaluate(batch);
+    for (std::size_t i = 0; i < batch.size(); ++i)
+      EXPECT_EQ(bits(values[i]),
+                bits(f.predictor.predict(batch[i], f.iterations).total_s))
+          << batch.size() << " lanes, lane " << i;
+  }
+  const core::LaneStats stats = lanes.stats();
+  EXPECT_EQ(stats.batched_sweeps, 2u);
+  EXPECT_EQ(stats.rows_computed, 36u * 8u);
+}
+
 // The batching policy: groups below min_fill take the scalar path, full
 // groups sweep, a trailing group >= min_fill sweeps partially filled and
 // reports its idle slots.
